@@ -23,8 +23,8 @@ from .constructions import (BeltramiField, build_capital_psi, compose_f, lemma_q
                             welding_construction)
 from .errors import (AccuracyError, ExtractionError, IntegrationError, SlitWeldError,
                      ValidationError)
-from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, boundary_flow,
-                      hitting_profile, trace_curve, upward_flow)
+from .loewner import (DrivingTerm, boundary_flow, hitting_profile, trace_curve,
+                      upward_flow)
 from .regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
                          loewner_energy, lip_half_norm, mr_constant, qs_constant,
                          vmo_modulus, wp_cross_condition)
@@ -91,35 +91,21 @@ class RunConfig:
         }
 
 
-def _flow_params(args) -> FlowParams:
-    over = {}
-    if getattr(args, "eps_hit", None) is not None:
-        over["eps_hit"] = args.eps_hit
-    if getattr(args, "eps_alpha", None) is not None:
-        over["eps_alpha"] = args.eps_alpha
-    if not over:
-        return DEFAULT_FLOW_PARAMS
-    return FlowParams(**{**DEFAULT_FLOW_PARAMS.__dict__, **over})
-
-
 def _cmd_trace(args, outputs: list) -> int:
     RunConfig(
         "trace",
         inputs=(args.driver,),
         outputs=tuple(p for p in (args.out, args.profile_out) if p),
         counts={"trace_count": args.count, "profile_samples": args.profile_samples},
-        tolerances={"eps_hit": args.eps_hit or DEFAULT_FLOW_PARAMS.eps_hit,
-                    "eps_alpha": args.eps_alpha or DEFAULT_FLOW_PARAMS.eps_alpha},
     )
     d = load_driver(args.driver)
-    params = _flow_params(args)
     outputs.append(args.out)
-    samples = trace_curve(d, args.count, params)
+    samples = trace_curve(d, args.count)
     save_trace_csv(args.out, [s.t for s in samples], [s.tip for s in samples],
                    [s.residual for s in samples])
     if args.profile_out:
         outputs.append(args.profile_out)
-        prof_p, prof_m = hitting_profile(d, args.profile_samples, params)
+        prof_p, prof_m = hitting_profile(d, args.profile_samples)
         angles = np.concatenate([prof_m.angles, prof_p.angles])
         taus = np.concatenate([prof_m.times, prof_p.times])
         sides = ["minus"] * prof_m.angles.size + ["plus"] * prof_p.angles.size
@@ -134,13 +120,10 @@ def _cmd_weld(args, outputs: list) -> int:
         inputs=(args.driver,),
         outputs=(args.out,),
         counts={"welding_samples": args.samples},
-        tolerances={"angle_tol": args.angle_tol,
-                    "eps_hit": args.eps_hit or DEFAULT_FLOW_PARAMS.eps_hit,
-                    "eps_alpha": args.eps_alpha or DEFAULT_FLOW_PARAMS.eps_alpha},
     )
     d = load_driver(args.driver)
     outputs.append(args.out)
-    w = extract_welding(d, args.samples, _flow_params(args), args.angle_tol)
+    w = extract_welding(d, args.samples)
     save_welding_csv(args.out, w)
     print(f"weld: {w.times.size} pairs, alpha+ {w.alpha_plus.angle:.6f}, "
           f"alpha- {w.alpha_minus.angle:.6f} -> {args.out}")
@@ -505,17 +488,12 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--count", type=int, default=128)
     tr.add_argument("--profile-out", default=None)
     tr.add_argument("--profile-samples", type=int, default=64)
-    tr.add_argument("--eps-hit", type=float, default=None)
-    tr.add_argument("--eps-alpha", type=float, default=None)
     tr.set_defaults(fn=_cmd_trace)
 
     we = sub.add_parser("weld", help="extract the conformal welding to CSV")
     we.add_argument("--driver", required=True)
     we.add_argument("--out", required=True)
     we.add_argument("--samples", type=int, default=256)
-    we.add_argument("--angle-tol", type=float, default=1e-7)
-    we.add_argument("--eps-hit", type=float, default=None)
-    we.add_argument("--eps-alpha", type=float, default=None)
     we.set_defaults(fn=_cmd_weld)
 
     an = sub.add_parser("analyze", help="regularity functionals to a report JSON")

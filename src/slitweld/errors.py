@@ -49,4 +49,4 @@ class AccuracyError(SlitWeldError):
 
 
 class ExtractionError(SlitWeldError):
-    """Welding extraction failed (bracketing or bisection); names side and time."""
+    """Welding extraction failed: preimage arcs cover the circle or pairs break an invariant."""

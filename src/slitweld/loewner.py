@@ -11,7 +11,9 @@ All flows use one adaptive Dormand-Prince 5(4) stepper.  Besides the usual
 error control the step size is capped by c_step * Delta^2 where Delta is the
 distance to the current singularity, steps land exactly on the driver grid
 nodes (the right-hand side has kinks there), and boundary trajectories
-terminate when they come within eps_hit of the driver angle.
+terminate when they come within eps_hit of the driver angle.  The angles
+absorbed at a given time come from the same stepper run backward from the
+singularity, in the chart v = (theta - sigma)^2 where that flow is smooth.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ class FlowParams:
     atol: float = 1e-12
     c_step: float = 0.1          # step cap dt <= c_step * Delta^2
     eps_hit: float = 1e-6        # boundary hit threshold, radians
-    eps_alpha: float = 1e-6      # bisection tolerance for slit endpoints, radians
     max_steps: int = 4096        # per-flow step budget
     sing_eps: float = 1e-9       # downward-flow abort distance to the singularity
 
@@ -380,17 +381,6 @@ def _boundary_run(d: DrivingTerm, theta0: float, t_end: float, params: FlowParam
     return hit, t, th
 
 
-# boundary flows are bisected heavily; moderate tolerances keep them fast while
-# the hit time stays far more accurate than eps_hit^2
-_BOUNDARY_PARAMS_OVERRIDE = {"rtol": 1e-9, "atol": 1e-11}
-
-
-def _boundary_params(params: FlowParams) -> FlowParams:
-    if params is DEFAULT_FLOW_PARAMS:
-        return FlowParams(**{**DEFAULT_FLOW_PARAMS.__dict__, **_BOUNDARY_PARAMS_OVERRIDE})
-    return params
-
-
 def boundary_flow(d: DrivingTerm, theta0: float, t_end: float | None = None,
                   params: FlowParams = DEFAULT_FLOW_PARAMS):
     """Angle path theta(t) of a boundary point until it hits or reaches t_end.
@@ -401,7 +391,6 @@ def boundary_flow(d: DrivingTerm, theta0: float, t_end: float | None = None,
     if t_end is None:
         t_end = d.T
     _validate_time(d, t_end)
-    p = _boundary_params(params)
     ts = [0.0]
     ths = [theta0]
 
@@ -409,7 +398,7 @@ def boundary_flow(d: DrivingTerm, theta0: float, t_end: float | None = None,
         ts.append(s)
         ths.append(th)
 
-    hit, t, th = _boundary_run(d, theta0, t_end, p, record=rec)
+    hit, t, th = _boundary_run(d, theta0, t_end, params, record=rec)
     if hit and ts[-1] != t:
         ts.append(t)
         ths.append(th)
@@ -423,8 +412,7 @@ def hitting_time(d: DrivingTerm, theta0: float,
     side is "plus" when the trajectory reaches the singularity from the
     counterclockwise side (preimage of the slit's plus side), else "minus".
     """
-    p = _boundary_params(params)
-    hit, t, th = _boundary_run(d, theta0, d.T, p)
+    hit, t, th = _boundary_run(d, theta0, d.T, params)
     if not hit:
         return None
     u = math.fmod(th - d.sigma_at(t), TWO_PI)
@@ -434,110 +422,62 @@ def hitting_time(d: DrivingTerm, theta0: float,
     return t, side
 
 
-def _hit_by(d: DrivingTerm, theta0: float, t_k: float, params: FlowParams):
-    """True when tau(theta0) <= t_k; integrates only as far as t_k."""
-    hit, _, _ = _boundary_run(d, theta0, t_k, params)
-    return hit
+def _absorbed_angle(d: DrivingTerm, t: float, sign: float, params: FlowParams) -> float:
+    """Start angle absorbed at time t, on the plus side (sign 1) or minus side (-1).
+
+    Integrates the angle flow backward from the singularity at time t down to
+    s = 0.  In the chart v = u^2, u = theta - sigma, and in reversed time
+    r = t - s the flow reads
+
+        dv/dr = 2 w cot(w/2) + sign * 2 w sigma',   w = sqrt(v),
+
+    which is finite at v = 0 because w cot(w/2) -> 2.  sigma' is constant on
+    each driver cell, so every cell is one flow with an autonomous right-hand
+    side.  Returns sign * sqrt(v) at s = 0, where sigma(0) = 0.
+    """
+    nodes = [0.0] + d.breaks_in(0.0, t) + [t]
+    v = 0.0
+    for i in reversed(range(len(nodes) - 1)):
+        slope = sign * d._slope[i]
+
+        def rhs(r, v, slope=slope):
+            if v <= 0.0:
+                return 4.0
+            w = math.sqrt(v)
+            return 2.0 * w * (1.0 / math.tan(0.5 * w) + slope)
+
+        _, v, _ = _dp54(rhs, 0.0, nodes[i + 1] - nodes[i], v, params)
+    return sign * math.sqrt(v)
 
 
 def slit_preimage_endpoints(d: DrivingTerm,
-                            params: FlowParams = DEFAULT_FLOW_PARAMS,
-                            scan: int = 64):
+                            params: FlowParams = DEFAULT_FLOW_PARAMS):
     """Endpoints (alpha_minus, alpha_plus) of the slit preimage arc.
 
-    Bisects the boundary between starting angles that hit within the horizon
-    and those that survive, separately on each side of the singularity.  A
-    coarse scan locates the surviving arc first.
+    They are the two start angles absorbed at the horizon T, each found by one
+    backward flow from the singularity at T.
     """
-    p = _boundary_params(params)
-    for n_scan in (scan, 4 * scan):
-        us = [(k + 0.5) * TWO_PI / n_scan for k in range(n_scan)]
-        alive = [not _hit_by(d, u, d.T, p) for u in us]
-        if any(alive):
-            break
-    else:
-        raise DiagnosticsError("no surviving boundary angle found; not a proper slit")
-
-    # plus side: boundary between hitting angles (near u = 0+) and survivors
-    lo_p, hi_p = None, None
-    for i in range(n_scan):
-        if not alive[i]:
-            lo_p = us[i]
-        else:
-            hi_p = us[i]
-            break
-    if lo_p is None:
-        # hit region narrower than the scan; angles this close to 0 always hit
-        lo_p = min(10.0 * p.eps_hit, us[0])
-    if hi_p is None:
-        raise DiagnosticsError("no surviving angle found on the plus side")
-    while hi_p - lo_p > p.eps_alpha:
-        mid = 0.5 * (lo_p + hi_p)
-        if _hit_by(d, mid, d.T, p):
-            lo_p = mid
-        else:
-            hi_p = mid
-    alpha_plus = 0.5 * (lo_p + hi_p)
-
-    # minus side: largest surviving angle below 2 pi
-    lo_m, hi_m = None, None
-    for i in reversed(range(n_scan)):
-        if not alive[i]:
-            hi_m = us[i]
-        else:
-            lo_m = us[i]
-            break
-    if hi_m is None:
-        # hit region narrower than the scan; angles this close to 2 pi always hit
-        hi_m = TWO_PI - min(10.0 * p.eps_hit, TWO_PI - us[-1])
-    if lo_m is None:
-        raise DiagnosticsError("no surviving angle found on the minus side")
-    while hi_m - lo_m > p.eps_alpha:
-        mid = 0.5 * (lo_m + hi_m)
-        if _hit_by(d, mid, d.T, p):
-            hi_m = mid
-        else:
-            lo_m = mid
-    alpha_minus = 0.5 * (lo_m + hi_m) - TWO_PI   # signed angle below 0
-
-    return CirclePoint(alpha_minus), CirclePoint(alpha_plus)
+    return (CirclePoint(_absorbed_angle(d, d.T, -1.0, params)),
+            CirclePoint(_absorbed_angle(d, d.T, 1.0, params)))
 
 
 def hitting_profile(d: DrivingTerm, n: int = 32,
                     params: FlowParams = DEFAULT_FLOW_PARAMS):
     """Sampled hitting-time profiles (plus side, minus side).
 
-    Angles are placed uniformly strictly between the singularity and each
-    endpoint estimate; monotonicity of the sampled times is enforced.
+    The times are k T / n for k = 1 .. n and each angle is the start angle
+    absorbed at that time, so the last one is the arc endpoint; strict
+    monotonicity of the angles is enforced.
     """
     if n < 2:
         raise ValidationError("need at least 2 profile samples")
-    p = _boundary_params(params)
-    am, ap = slit_preimage_endpoints(d, params)
-    ap_lift = math.fmod(ap.angle, TWO_PI)
-    if ap_lift < 0.0:
-        ap_lift += TWO_PI
-    am_lift = math.fmod(am.angle, TWO_PI)
-    if am_lift < 0.0:
-        am_lift += TWO_PI
-
+    times = d.T * (np.arange(1, n + 1) / n)
     profiles = []
-    for side, alpha_lift in (("plus", ap_lift), ("minus", am_lift)):
-        if side == "plus":
-            us = np.linspace(alpha_lift / n, alpha_lift * (1.0 - 0.5 / n), n)
-        else:
-            width = TWO_PI - alpha_lift
-            us = TWO_PI - np.linspace(width / n, width * (1.0 - 0.5 / n), n)
-        taus = []
-        for u in us:
-            hit, t, _ = _boundary_run(d, float(u), d.T, p)
-            taus.append(t if hit else d.T)
-        taus = np.array(taus)
-        if np.any(np.diff(taus) <= 0.0):
-            raise DiagnosticsError(f"hitting times not strictly monotone on the {side} side")
-        angles = us if side == "plus" else us - TWO_PI
-        alpha = alpha_lift if side == "plus" else alpha_lift - TWO_PI
-        profiles.append(HittingProfile(side, angles, taus, alpha))
+    for side, sign in (("plus", 1.0), ("minus", -1.0)):
+        angles = np.array([_absorbed_angle(d, float(t), sign, params) for t in times])
+        if np.any(np.diff(sign * angles) <= 0.0):
+            raise DiagnosticsError(f"hitting angles not strictly monotone on the {side} side")
+        profiles.append(HittingProfile(side, angles, times, float(angles[-1])))
     return tuple(profiles)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from .arcfun import ArcFunction, ArcHomeomorphism
 from .circle import TWO_PI, CirclePoint, OrientedArc
 from .errors import ExtractionError, ValidationError
-from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, _boundary_params,
-                      _hit_by, slit_preimage_endpoints, upward_flow)
+from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, _absorbed_angle,
+                      slit_preimage_endpoints, upward_flow)
 
 __all__ = [
     "Welding",
@@ -142,39 +142,16 @@ def welding_as_homeomorphism(w: Welding) -> ArcHomeomorphism:
     return ArcHomeomorphism(w.arc_plus, w.arc_minus, w.theta_plus.copy(), images)
 
 
-def _bisect_plus(d, t_target, lo, hi, tol, params):
-    # invariant: tau(lo) <= t_target < tau(hi); hi is never evaluated
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _hit_by(d, mid, t_target, params):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_minus(d, t_target, lo, hi, tol, params):
-    # mirror image: angles nearer 2 pi are absorbed sooner
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _hit_by(d, mid, t_target, params):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def extract_welding(d: DrivingTerm, n: int = 256,
-                    params: FlowParams = DEFAULT_FLOW_PARAMS,
-                    angle_tol: float = 1e-7) -> Welding:
+                    params: FlowParams = DEFAULT_FLOW_PARAMS) -> Welding:
     """Extract the welding of the slit grown by d on a uniform time grid.
 
-    Solves tau(theta) = k T / n for k = 1 .. n-1 on each preimage arc by
-    bisection on the absorption predicate, then appends the arc endpoints.
+    The two start angles absorbed at t_k = k T / n, k = 1 .. n-1, each come
+    from one backward flow from the singularity at t_k; the arc endpoints from
+    slit_preimage_endpoints close the grid at T.
     """
     if n < 8:
         raise ValidationError("welding resolution must be at least 8")
-    p = _boundary_params(params)
     am, ap = slit_preimage_endpoints(d, params)
     ap_lift = math.fmod(ap.angle, TWO_PI)
     if ap_lift <= 0.0:
@@ -185,26 +162,10 @@ def extract_welding(d: DrivingTerm, n: int = 256,
     if ap_lift - am_lift >= TWO_PI:
         raise ExtractionError("preimage arcs cover the circle; horizon too large")
 
-    times = [0.0]
-    plus = [0.0]
-    lo = 0.0
-    for k in range(1, n):
-        t_k = k * d.T / n
-        th = _bisect_plus(d, t_k, lo, ap_lift, angle_tol, p)
-        times.append(t_k)
-        plus.append(th)
-        lo = th
-    times.append(d.T)
-    plus.append(ap_lift)
-
-    minus = [0.0]
-    hi = TWO_PI
-    for k in range(1, n):
-        t_k = k * d.T / n
-        u = _bisect_minus(d, t_k, am_lift + TWO_PI, hi, angle_tol, p)
-        minus.append(u - TWO_PI)
-        hi = u
-    minus.append(am_lift)
+    inner = [k * d.T / n for k in range(1, n)]
+    times = [0.0] + inner + [d.T]
+    plus = [0.0] + [_absorbed_angle(d, t, 1.0, params) for t in inner] + [ap_lift]
+    minus = [0.0] + [_absorbed_angle(d, t, -1.0, params) for t in inner] + [am_lift]
 
     try:
         return Welding(np.array(times), np.array(plus), np.array(minus))

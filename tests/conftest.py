@@ -1,6 +1,7 @@
 """Shared fixtures: reference drivers and their extracted weldings.
 
-Welding extraction is the expensive step, so the suite shares one extraction
+Each extraction runs two backward flows per welded pair, which is cheap but
+not free on the 256-cell graded driver, so the suite shares one extraction
 per (driver, resolution) across all tests.
 """
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +48,35 @@ def radial_tip(T: float) -> float:
 
 def radial_T_of_tslit(t_slit: float) -> float:
     return math.log((1.0 + t_slit) ** 2 / (4.0 * t_slit))
+
+
+# -------------------------------------------------------------- linear driver
+
+def linear_hitting_time(u0: float, c: float) -> float:
+    """tau(u0) for sigma = c t, plus side; the minus side uses -c and -u0.
+
+    In the chart u = theta - sigma the angle flow separates, du/dt =
+    -(cot(u/2) + c), so tau is the integral of du / (cot(u/2) + c) over
+    [0, u0]: with phi = atan c and R = sqrt(1 + c^2),
+    tau(u0) = (2/R) [sin phi u0/2 - cos phi ln(cos(u0/2 - phi) / cos phi)].
+    """
+    phi = math.atan(c)
+    r = math.hypot(1.0, c)
+    return (2.0 / r) * (math.sin(phi) * 0.5 * u0
+                        - math.cos(phi) * math.log(math.cos(0.5 * u0 - phi) / math.cos(phi)))
+
+
+def linear_theta_of_time(t: float, c: float, side: str = "plus") -> float:
+    """Start angle absorbed at time t > 0 under sigma = c t, signed by side.
+
+    tau increases from 0 at u0 = 0 to infinity at u0 = pi + 2 atan(c), so
+    brentq brackets the root between the two.
+    """
+    cs = c if side == "plus" else -c
+    top = math.pi + 2.0 * math.atan(cs)
+    u0 = brentq(lambda u: linear_hitting_time(u, cs) - t, 0.0, top * (1.0 - 1e-12),
+                xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+    return u0 if side == "plus" else -u0
 
 
 # ------------------------------------------------------- Fourier-side identity

@@ -233,12 +233,18 @@ def test_validation_exit_codes(tmp_path, driver_path):
     assert not os.path.exists(out)
 
 
-def test_accuracy_failure_removes_output(tmp_path, workdir, extracted_path):
-    # noisy data cannot satisfy a 1e-12 agreement demand; the stale file at
-    # the output path must not survive the failed run
+def test_accuracy_failure_removes_output(tmp_path):
+    # the asymmetric welding of a moving driver cannot satisfy a 1e-12
+    # agreement demand; the stale file at the output path must not survive
+    # the failed run
+    driver = tmp_path / "linear.json"
+    driver.write_text(json.dumps({"T": 1.0, "grid": [0.0, 1.0], "sigma": [0.0, 0.4]}))
+    welding = str(tmp_path / "linear.csv")
+    assert main(["weld", "--driver", str(driver), "--out", welding,
+                 "--samples", "16"]) == 0
     out = tmp_path / "report.json"
     out.write_text("stale\n")
-    rc = main(["analyze", "--welding", extracted_path, "--out", str(out),
+    rc = main(["analyze", "--welding", welding, "--out", str(out),
                "--quad-level", "64", "--window-samples", "64",
                "--qs-positions", "16", "--agree-tol", "1e-12"])
     assert rc == 4

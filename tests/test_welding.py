@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from slitweld.errors import ValidationError
+from slitweld.loewner import DrivingTerm, hitting_time, slit_preimage_endpoints
 from slitweld.welding import (
     Welding,
     extract_welding,
@@ -71,6 +74,52 @@ def test_extraction_matches_radial_closed_form(w_const_256, d_const):
     assert np.max(np.abs(w.theta_plus - want)) < 1e-5
     # conjugation symmetry of the slit carries over to the angle columns
     assert np.max(np.abs(w.theta_minus + w.theta_plus)) < 1e-5
+
+
+@pytest.mark.parametrize("c", [0.2, 0.4])
+def test_extraction_matches_linear_closed_form(c):
+    # sigma = c t moves the singularity, so the two columns differ and each
+    # side has its own closed form
+    d = DrivingTerm([0.0, 1.0], [0.0, c])
+    w = extract_welding(d, 32)
+    want_p = [oracles.linear_theta_of_time(t, c) for t in w.times[1:]]
+    want_m = [oracles.linear_theta_of_time(t, c, "minus") for t in w.times[1:]]
+    assert np.max(np.abs(w.theta_plus[1:] - want_p)) <= 1e-9
+    assert np.max(np.abs(w.theta_minus[1:] - want_m)) <= 1e-9
+    am, ap = slit_preimage_endpoints(d)
+    assert abs(ap.angle - want_p[-1]) <= 1e-9
+    assert abs(am.angle - want_m[-1]) <= 1e-9
+
+
+def _angle_gap(a, b):
+    return np.abs(np.mod(np.asarray(a) - b + math.pi, 2.0 * math.pi) - math.pi)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), const=st.floats(0.05, 0.5))
+def test_extraction_properties_on_random_drivers(seed, const):
+    grid, sigma = oracles.random_lip_half_nodes(np.random.default_rng(seed), n=32,
+                                                const=const)
+    d = DrivingTerm(grid, sigma)
+    w = extract_welding(d, 12)
+    assert np.all(np.diff(w.theta_plus) > 0.0)
+    assert np.all(np.diff(w.theta_minus) < 0.0)
+    am, ap = slit_preimage_endpoints(d)
+    assert _angle_gap(w.alpha_plus.angle, ap.angle) < 1e-12
+    assert _angle_gap(w.alpha_minus.angle, am.angle) < 1e-12
+    th = np.concatenate([w.theta_plus, w.theta_minus])
+    assert np.max(_angle_gap(w.apply_angle(w.apply_angle(th)), th)) < 1e-12
+    # forward flows from the extracted angles are absorbed at the pair's
+    # time; the endpoints are absorbed at the horizon itself, where the
+    # forward flow may also just survive
+    for side, column in (("plus", w.theta_plus), ("minus", w.theta_minus)):
+        for t, theta in zip(w.times[1:], column[1:]):
+            hit = hitting_time(d, theta)
+            if hit is None:
+                assert t == d.T
+                continue
+            assert hit[1] == side
+            assert abs(hit[0] - t) < 1e-7
 
 
 def test_extraction_resolution_floor(d_const):
