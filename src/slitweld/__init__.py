@@ -12,7 +12,7 @@ from .circle import (CirclePoint, MobiusCircleMap, OrientedArc, arc, arc_contain
                      canonical_angle, mobius_from_triple)
 from .constructions import (BeltramiField, CirclePiece, DiskMapEvaluator,
                             PiecewiseCircleMap, build_capital_psi, build_psi,
-                            build_tau, capital_psi_composite_residual, compose_f,
+                            capital_psi_composite_residual, compose_f,
                             lemma_q_map, poincare_l2_integral, psi_j_decomposition,
                             qtilde_beltrami, reflect_half_extension, slit_map_h,
                             welding_construction)
@@ -27,7 +27,7 @@ from .loewner import (DEFAULT_FLOW_PARAMS, PRECISE_FLOW_PARAMS, DrivingTerm,
 from .regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
                          lip_half_norm, loewner_energy, mr_constant, qs_constant,
                          vmo_modulus, wp_cross_condition)
-from .welding import (Welding, extract_welding, pair_residuals,
+from .welding import (Welding, build_tau, extract_welding, pair_residuals,
                       radial_slit_welding, welding_apply,
                       welding_as_homeomorphism, welding_log_derivative)
 

@@ -48,6 +48,19 @@ _COUNT_MINIMUMS = {
     "residual_count": 1,
 }
 
+# Caps keep one stage within about 256 MiB of working memory and about a
+# minute on a 2-core x86-64 machine; the costs behind them, measured there:
+_COUNT_MAXIMUMS = {
+    "welding_samples": 32768,     # two backward flows, 1.7 ms, per sample (2-node driver)
+    "trace_count": 4096,          # three upward flows, 9 ms, per tip
+    "quad_level": 8192,           # construct sums 126 m^2 chordal cells, 36 s at the cap
+    "boundary_samples": 65536,    # 360 bytes of JSON and 0.13 ms per sample
+    "profile_samples": 32768,     # as welding_samples
+    "window_samples": 8192,       # mean oscillation holds 4 n^2 bytes, 256 MiB at the cap
+    "qs_positions": 1 << 20,      # about 140 bytes and 2 us per position
+    "residual_count": 4096,       # two upward flows, 9 ms, per probe
+}
+
 
 @dataclass
 class RunConfig:
@@ -65,6 +78,9 @@ class RunConfig:
             lo = _COUNT_MINIMUMS.get(name, 1)
             if int(n) < lo:
                 raise ValidationError(f"{name} must be at least {lo}, got {n}")
+            hi = _COUNT_MAXIMUMS.get(name)
+            if hi is not None and int(n) > hi:
+                raise ValidationError(f"{name} must be at most {hi}, got {n}")
         for name, tol in self.tolerances.items():
             if not (isinstance(tol, (int, float)) and tol > 0.0 and math.isfinite(tol)):
                 raise ValidationError(f"{name} must be a positive number, got {tol}")
@@ -76,6 +92,13 @@ class RunConfig:
             if a in seen:
                 raise ValidationError(f"output path {out} repeated")
             seen.add(a)
+            folder = os.path.dirname(a)
+            if not os.path.isdir(folder):
+                raise ValidationError(f"output directory {folder} does not exist")
+            if not os.access(folder, os.W_OK):
+                raise ValidationError(f"output directory {folder} is not writable")
+            if os.path.isdir(a):
+                raise ValidationError(f"output path {out} is a directory")
         for inp in self.inputs:
             if os.path.abspath(inp) in seen:
                 raise ValidationError(f"output path {inp} would overwrite an input")

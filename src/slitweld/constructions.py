@@ -1,9 +1,10 @@
 """Explicit boundary homeomorphisms and disk maps for the welding pipeline.
 
-Builds the boundary normalizer tau, the piecewise circle extension psi of a
-welding with its six-term energy decomposition, reflection extensions, the
-closed-form slit-disk map h, the sector-shear map q with exact Beltrami data,
-Poincare-weighted dilatation integrals, and the composite interior map.
+Builds, from the boundary normalizer tau of welding.build_tau, the piecewise
+circle extension psi of a welding with its six-term energy decomposition,
+reflection extensions, the closed-form slit-disk map h, the sector-shear map
+q with exact Beltrami data, Poincare-weighted dilatation integrals, and the
+composite interior map.
 """
 
 from __future__ import annotations
@@ -16,19 +17,17 @@ from typing import Callable
 import numpy as np
 
 from .arcfun import ArcHomeomorphism
-from .circle import (TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, arc,
-                     mobius_from_triple)
+from .circle import TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, arc
 from .errors import AccuracyError, IntegrationError, ValidationError
 from .loewner import DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, upward_flow
 from .regularity import h_half_seminorm_detail
-from .welding import Welding, welding_log_derivative
+from .welding import Welding, _conjugated_welding, build_tau
 
 __all__ = [
     "CirclePiece",
     "PiecewiseCircleMap",
     "DiskMapEvaluator",
     "BeltramiField",
-    "build_tau",
     "build_psi",
     "psi_j_decomposition",
     "reflect_half_extension",
@@ -167,31 +166,6 @@ class BeltramiField:
 
     def __call__(self, z):
         return self.mu(z)
-
-
-def build_tau(alpha_minus: CirclePoint, alpha_plus: CirclePoint) -> MobiusCircleMap:
-    """Disk automorphism with tau(-i) = alpha_minus, tau(1) = 1, tau(i) = alpha_plus."""
-    return mobius_from_triple(
-        (CirclePoint(-_HALF_PI), CirclePoint(0.0), CirclePoint(_HALF_PI)),
-        (alpha_minus, CirclePoint(0.0), alpha_plus))
-
-
-def _conjugated_welding(w: Welding, tau: MobiusCircleMap):
-    """Angle map and log-derivative of tau^-1 o phi o tau on the arc from 1 to i."""
-    tau_inv = tau.inverse()
-    phi_ld = welding_log_derivative(w)
-
-    def chi(th):
-        a = tau.apply_angle(th)
-        b = w.apply_angle(a)
-        return tau_inv.apply_angle(b)
-
-    def chi_ld(th):
-        a = tau.apply_angle(th)
-        b = w.apply_angle(a)
-        return tau.log_deriv_angle(th) + phi_ld.eval_angle(a) + tau_inv.log_deriv_angle(b)
-
-    return chi, chi_ld
 
 
 def build_psi(w: Welding, tau: MobiusCircleMap | None = None) -> PiecewiseCircleMap:

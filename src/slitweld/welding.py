@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcfun import ArcFunction, ArcHomeomorphism
-from .circle import TWO_PI, CirclePoint, OrientedArc
+from .circle import TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, mobius_from_triple
 from .errors import ExtractionError, ValidationError
 from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, _absorbed_angle,
                       slit_preimage_endpoints, upward_flow)
@@ -25,6 +25,7 @@ __all__ = [
     "welding_apply",
     "welding_log_derivative",
     "welding_as_homeomorphism",
+    "build_tau",
     "radial_slit_welding",
     "pair_residuals",
 ]
@@ -140,6 +141,29 @@ def welding_as_homeomorphism(w: Welding) -> ArcHomeomorphism:
     """The welding as a sense-reversing homeomorphism arc_plus -> arc_minus."""
     images = w.theta_minus - w.theta_minus[-1]   # offsets from alpha_minus
     return ArcHomeomorphism(w.arc_plus, w.arc_minus, w.theta_plus.copy(), images)
+
+
+def build_tau(alpha_minus: CirclePoint, alpha_plus: CirclePoint) -> MobiusCircleMap:
+    """Disk automorphism with tau(-i) = alpha_minus, tau(1) = 1, tau(i) = alpha_plus."""
+    return mobius_from_triple(
+        (CirclePoint(-0.5 * math.pi), CirclePoint(0.0), CirclePoint(0.5 * math.pi)),
+        (alpha_minus, CirclePoint(0.0), alpha_plus))
+
+
+def _conjugated_welding(w: Welding, tau: MobiusCircleMap):
+    """Angle map and log-derivative of tau^-1 o phi o tau on the arc from 1 to i."""
+    tau_inv = tau.inverse()
+    phi_ld = welding_log_derivative(w)
+
+    def chi(th):
+        return tau_inv.apply_angle(w.apply_angle(tau.apply_angle(th)))
+
+    def chi_ld(th):
+        a = tau.apply_angle(th)
+        b = w.apply_angle(a)
+        return tau.log_deriv_angle(th) + phi_ld.eval_angle(a) + tau_inv.log_deriv_angle(b)
+
+    return chi, chi_ld
 
 
 def extract_welding(d: DrivingTerm, n: int = 256,

@@ -121,6 +121,55 @@ def brute_h_half_sq(u, n: int = 1200) -> float:
     return float(np.sum(integrand) * h * h / TWO_PI ** 2)
 
 
+# ------------------------------------------------------ dense chordal levels
+
+def _dense_cells(th1, u1, th2, u2, mask):
+    """(u1_i - u2_j)^2 / (4 sin^2((th1_i - th2_j)/2)), zero where mask is 0."""
+    diff = u1[:, None] - u2[None, :]
+    kern = 4.0 * np.sin(0.5 * (th1[:, None] - th2[None, :])) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mask > 0.0, diff * diff / kern, 0.0)
+
+
+def dense_chordal_level(u, start1: float, span1: float, start2: float, span2: float,
+                        m: int, same: bool) -> float:
+    """One m-point midpoint level of the raw chordal energy of u over two arcs.
+
+    Builds the whole (m, m) cell array at once, with the colliding midpoints
+    of a same-arc sum masked out: the dense formula the library's row-blocked
+    kernel replaced, kept here as its reference.
+    """
+    h1, h2 = span1 / m, span2 / m
+    th1 = start1 + (np.arange(m) + 0.5) * h1
+    th2 = start2 + (np.arange(m) + 0.5) * h2
+    u1 = np.asarray(u(th1), dtype=float)
+    u2 = u1 if same else np.asarray(u(th2), dtype=float)
+    mask = np.ones((m, m))
+    if same:
+        np.fill_diagonal(mask, 0.0)
+    return float(np.sum(_dense_cells(th1, u1, th2, u2, mask)) * h1 * h2)
+
+
+def dense_wp_level(log_chi_deriv, m_base: int, mm: int):
+    """(total, alpha-cell mass) of one mm-point level of the wp cross integral.
+
+    log |chi'| on the arc from 1 to i against 0 on the arc from -i to 1; the
+    alpha cells are those within one base-level cell (pi / (2 m_base)) of i
+    in the first angle or of -i in the second.
+    """
+    h = 0.5 * math.pi / mm
+    th1 = (np.arange(mm) + 0.5) * h
+    th2 = -0.5 * math.pi + (np.arange(mm) + 0.5) * h
+    cells = _dense_cells(th1, np.asarray(log_chi_deriv(th1), dtype=float),
+                         th2, np.zeros(mm), np.ones((mm, mm))) * (h * h)
+    delta = 0.5 * math.pi / m_base
+    near1 = th1 > 0.5 * math.pi - delta
+    near2 = th2 < -0.5 * math.pi + delta
+    alpha = (np.sum(cells[near1, :]) + np.sum(cells[:, near2])
+             - np.sum(cells[np.ix_(near1, near2)]))
+    return float(np.sum(cells)), float(alpha)
+
+
 # ---------------------------------------------------------- Wirtinger by FD
 
 def fd_wirtinger(f, z: complex, h: float = 1e-6):

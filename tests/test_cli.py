@@ -8,7 +8,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from slitweld.cli import RunConfig, _exit_code, main
+import slitweld.cli as cli
+from slitweld.cli import _COUNT_MAXIMUMS, _COUNT_MINIMUMS, RunConfig, _exit_code, main
 from slitweld.errors import (AccuracyError, ExtractionError, HitSingularityError,
                              IntegrationError, SlitWeldError, ValidationError)
 from slitweld.serialize import WELDING_HEADER, load_welding_csv, save_welding_csv
@@ -257,4 +258,48 @@ def test_plot_failure_removes_output(tmp_path):
     out = tmp_path / "letters.svg"
     out.write_text("stale\n")
     assert main(["plot", "--input", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _forbid_compute(monkeypatch):
+    """Make any input load fail the test: validation must stop the run first."""
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started before validation rejected it")
+
+    for name in ("load_driver", "load_welding_csv"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+def test_runconfig_count_maximums():
+    assert set(_COUNT_MAXIMUMS) == set(_COUNT_MINIMUMS)
+    for name, hi in _COUNT_MAXIMUMS.items():
+        RunConfig("x", counts={name: hi})
+        with pytest.raises(ValidationError):
+            RunConfig("x", counts={name: hi + 1})
+
+
+def test_runconfig_output_directory(tmp_path):
+    RunConfig("x", outputs=(str(tmp_path / "a.json"),))
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("x\n")
+    for bad in (tmp_path / "missing" / "a.json", blocker / "a.json", tmp_path):
+        with pytest.raises(ValidationError):
+            RunConfig("x", outputs=(str(bad),))
+
+
+def test_missing_output_directory_exits_2_before_compute(tmp_path, driver_path,
+                                                         closed_form_path, monkeypatch):
+    _forbid_compute(monkeypatch)
+    missing = tmp_path / "no" / "such"
+    assert main(["weld", "--driver", driver_path, "--out", str(missing / "w.csv")]) == 2
+    assert main(["analyze", "--welding", closed_form_path,
+                 "--out", str(missing / "report.json")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quad_level_cap_exits_2_before_compute(tmp_path, closed_form_path, monkeypatch):
+    _forbid_compute(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--welding", closed_form_path, "--out", str(out),
+                 "--quad-level", "100000000"]) == 2
     assert not out.exists()

@@ -6,6 +6,7 @@ three-way agreement (identity, brute sum, library) is a real cross-check.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from slitweld.regularity import (
 )
 from slitweld.welding import (
     Welding,
+    _conjugated_welding,
+    build_tau,
     radial_slit_welding,
     welding_as_homeomorphism,
     welding_log_derivative,
@@ -181,3 +184,53 @@ def test_wp_cross_condition_radial(w_const_256):
 def test_bmo_of_extracted_log_derivative(w_const_256):
     f = welding_log_derivative(w_const_256)
     assert bmo_norm(f, samples=512) < 1e-3
+
+
+# the three arcs of psi_j_decomposition: A x A is a same-arc sum, C x B pairs
+# equal steps (as in J4), B x A unequal ones (as in J5)
+ARC_PAIRS = {
+    "AxA": (arc(0.0, math.pi), arc(0.0, math.pi)),
+    "CxB": (arc(math.pi, -0.5 * math.pi), arc(-0.5 * math.pi, 0.0)),
+    "BxA": (arc(-0.5 * math.pi, 0.0), arc(0.0, math.pi)),
+}
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("pair", sorted(ARC_PAIRS))
+def test_blocked_kernel_matches_dense_reference(rng, pair, m):
+    u, _ = oracles.trig_poly(rng, 4)
+    I, J = ARC_PAIRS[pair]
+    got = h_half_seminorm_detail(u, I, J, normalization="raw", m=m, strict=False)
+    want = tuple(oracles.dense_chordal_level(u, I.start.angle, I.length, J.start.angle,
+                                             J.length, mm, pair == "AxA")
+                 for mm in (m, 2 * m, 4 * m))
+    assert got["same_arc"] == (pair == "AxA")
+    assert got["levels"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_wp_cross_condition_matches_dense_reference(w_sqrt_256, m):
+    w = w_sqrt_256
+    _, log_chi_deriv = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
+    dense = [oracles.dense_wp_level(log_chi_deriv, m, mm) for mm in (m, 2 * m, 4 * m)]
+    assert dense[-1][1] > 0.0
+    for include in (False, True):
+        got = wp_cross_condition(w, m=m, include_alpha_cells=include)
+        want = tuple(total if include else total - alpha for total, alpha in dense)
+        assert got["levels"] == pytest.approx(want, rel=1e-12)
+        assert got["alpha_cell_mass"] == pytest.approx(dense[-1][1], rel=1e-12)
+
+
+def test_quadrature_memory_is_linear_in_level():
+    # one dense (4m)^2 float array at m = 1024 alone would take 128 MiB
+    w = radial_slit_welding(0.3, 256)
+    runs = (lambda: h_half_seminorm_detail(lambda th: np.cos(th), m=1024),
+            lambda: wp_cross_condition(w, m=1024))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
