@@ -3,7 +3,8 @@
 Subcommands: trace, weld, analyze, construct, selftest, plot.  All data files
 are deterministic: identical inputs and options produce byte-identical output.
 Exit codes: 0 success, 2 validation, 3 integration failure, 4 quadrature
-accuracy, 5 extraction failure (selftest failures exit 1).
+accuracy, 5 extraction failure, 6 operating-system or memory failure
+(selftest failures exit 1).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .loewner import (DrivingTerm, boundary_flow, hitting_profile, trace_curve,
                       upward_flow)
 from .regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
                          loewner_energy, lip_half_norm, mr_constant, qs_constant,
-                         vmo_modulus, wp_cross_condition)
+                         vmo_curve, wp_cross_condition)
 from .serialize import (json_dumps, load_csv_columns, load_driver, load_welding_csv,
                         remove_if_exists, save_profile_csv, save_trace_csv,
                         save_welding_csv, write_text)
@@ -51,8 +52,8 @@ _COUNT_MINIMUMS = {
 # Caps keep one stage within about 256 MiB of working memory and about a
 # minute on a 2-core x86-64 machine; the costs behind them, measured there:
 _COUNT_MAXIMUMS = {
-    "welding_samples": 32768,     # two backward flows, 1.7 ms, per sample (2-node driver)
-    "trace_count": 4096,          # three upward flows, 9 ms, per tip
+    "welding_samples": 32768,     # two backward flows, 0.9 ms, per sample (2-node driver)
+    "trace_count": 4096,          # one upward flow, 1.2 ms, per tip
     "quad_level": 8192,           # construct sums 126 m^2 chordal cells, 36 s at the cap
     "boundary_samples": 65536,    # 360 bytes of JSON and 0.13 ms per sample
     "profile_samples": 32768,     # as welding_samples
@@ -182,14 +183,8 @@ def _cmd_analyze(args, outputs: list) -> int:
                                   strict=not args.keep_going)
     semi_value = math.sqrt(max(semi["value"], 0.0))
 
-    bmo = bmo_norm(u, samples=args.window_samples)
-    vmo_curve = []
-    span = u.arc.length
-    scale = span
-    h_cell = span / args.window_samples
-    while scale / h_cell >= 8.0:
-        vmo_curve.append([scale, vmo_modulus(u, scale, args.window_samples)])
-        scale *= 0.5
+    vmo = vmo_curve(u, samples=args.window_samples)
+    bmo = max(m for _, m in vmo)
 
     hom = welding_as_homeomorphism(w)
     qs = qs_constant(hom, positions=args.qs_positions)
@@ -213,7 +208,7 @@ def _cmd_analyze(args, outputs: list) -> int:
                     "there is one-sided",
         },
         "bmo": bmo,
-        "vmo_curve": vmo_curve,
+        "vmo_curve": vmo,
         "qs_constant": qs,
         "mr_constant": mr_constant(w),
         "wp_cross_integral": wp["value"],
@@ -552,7 +547,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _exit_code(exc: SlitWeldError) -> int:
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, (OSError, MemoryError)):
+        return 6
     if isinstance(exc, ValidationError):
         return 2
     if isinstance(exc, ExtractionError):
@@ -569,10 +566,10 @@ def run_command(argv=None) -> int:
     outputs: list = []
     try:
         return args.fn(args, outputs)
-    except SlitWeldError as exc:
+    except (SlitWeldError, OSError, MemoryError) as exc:
         for path in outputs:
             remove_if_exists(path)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -29,11 +29,11 @@ class DiagnosticsError(IntegrationError):
 
 
 class TraceError(IntegrationError):
-    """Trace-tip extrapolation did not converge; carries the residual."""
+    """A trace tip's error estimate exceeds its tolerance; carries the residual."""
 
     def __init__(self, residual: float, message: str | None = None):
         self.residual = residual
-        super().__init__(message or f"trace extrapolation non-convergent, residual {residual:.3g}")
+        super().__init__(message or f"trace tip error estimate {residual:.3g} exceeds tolerance")
 
 
 class AccuracyError(SlitWeldError):

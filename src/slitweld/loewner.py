@@ -11,9 +11,13 @@ All flows use one adaptive Dormand-Prince 5(4) stepper.  Besides the usual
 error control the step size is capped by c_step * Delta^2 where Delta is the
 distance to the current singularity, steps land exactly on the driver grid
 nodes (the right-hand side has kinks there), and boundary trajectories
-terminate when they come within eps_hit of the driver angle.  The angles
-absorbed at a given time come from the same stepper run backward from the
-singularity, in the chart v = (theta - sigma)^2 where that flow is smooth.
+terminate when they come within eps_hit of the driver angle.
+
+Flows born at the singularity need no cap: the angles absorbed at a given
+time run backward from it in the chart v = (theta - sigma)^2, the trace tips
+run upward from it in the chart q = (1 - g / xi)^2, and both are smooth
+there.  One helper integrates either across the driver cells, in the time
+chart r = rho^2 on the birth cell, carrying the step size from cell to cell.
 """
 
 from __future__ import annotations
@@ -136,19 +140,6 @@ class DrivingTerm:
         """Downward driving value exp(i sigma(T - s))."""
         return cmath.exp(1j * self.sigma_at(self.T - s))
 
-    def shifted(self, t: float) -> "DrivingTerm":
-        """Driver s -> sigma(T - t + s) - sigma(T - t) on [0, t], for the trace."""
-        if not 0.0 < t <= self.T:
-            raise ValidationError("shift time must lie in (0, T]")
-        t0 = self.T - t
-        base = self.sigma_at(t0)
-        inner = self.grid[(self.grid > t0) & (self.grid < self.T)]
-        s_nodes = np.concatenate(([0.0], inner - t0, [t]))
-        s_nodes = np.unique(s_nodes)
-        vals = self.sigma_at_array(t0 + s_nodes) - base
-        vals[0] = 0.0
-        return DrivingTerm(s_nodes, vals)
-
     def breaks_in(self, t0: float, t1: float, reversed_time: bool = False):
         """Interior grid kinks of the right-hand side on the interval (t0, t1).
 
@@ -176,7 +167,7 @@ class HittingProfile:
 class TraceSample:
     t: float
     tip: complex
-    residual: float           # extrapolation self-consistency estimate
+    residual: float           # summed embedded error estimates, carried to the tip
 
 
 # Dormand-Prince 5(4) tableau
@@ -203,22 +194,27 @@ _E = (  # b5 - b4, for the embedded error estimate
 
 
 def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
-          record=None):
+          record=None, h=None):
     """Adaptive DP5(4) from t0 to t1.
 
     cap(t, y) returns an extra bound on the step; breaks is a sorted list of
     times the stepper must land on exactly; stop(t, y) terminates integration
-    when true (hit detection).  Returns (t, y, stopped).
+    when true (hit detection); h is the first trial step, by default span/16
+    and at most 0.1.  Returns (t, y, stopped, h, err): h is the step the
+    controller proposes next, so a following run can start from it, and err
+    sums the embedded error estimates of the accepted steps.
     """
     span = t1 - t0
     if span <= 0.0:
-        return t0, y0, False
+        return t0, y0, False, h, 0.0
     t, y = t0, y0
     brk = list(breaks) if breaks else []
     ib = 0
     h_min = 1e-15 * max(1.0, abs(span))
     k1 = f(t, y)
-    h = min(span / 16.0, 0.1)
+    if h is None:
+        h = min(span / 16.0, 0.1)
+    err_sum = 0.0
     if cap is not None:
         h = min(h, cap(t, y))
     nsteps = 0
@@ -262,16 +258,17 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
             t = brk[ib] if (snap and ib < len(brk)) else (t1 if snap else t + h)
             y = y5
             k1 = k[6]  # FSAL
+            err_sum += err
             if record is not None:
                 record(t, y)
             if stop is not None and stop(t, y):
-                return t, y, True
+                return t, y, True, h, err_sum
             factor = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
             h = h * factor
         else:
             h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
             k1 = k[0]
-    return t, y, False
+    return t, y, False, h, err_sum
 
 
 def _validate_time(d: DrivingTerm, t: float):
@@ -302,9 +299,8 @@ def upward_flow(d: DrivingTerm, z: complex, t: float,
         delta = abs(d.xi_at(s) - y)
         return max(params.c_step * delta * delta, 1e-14)
 
-    _, y, _ = _dp54(rhs, 0.0, t, complex(z), params, cap=cap,
-                    breaks=d.breaks_in(0.0, t))
-    return y
+    return _dp54(rhs, 0.0, t, complex(z), params, cap=cap,
+                 breaks=d.breaks_in(0.0, t))[1]
 
 
 def downward_flow(d: DrivingTerm, z: complex, t: float,
@@ -334,7 +330,7 @@ def downward_flow(d: DrivingTerm, z: complex, t: float,
         return abs(d.lambda_at(s) - y) < params.sing_eps
 
     s_end, y, hit = _dp54(rhs, 0.0, t, complex(z), params, cap=cap,
-                          breaks=d.breaks_in(0.0, t, reversed_time=True), stop=stop)
+                          breaks=d.breaks_in(0.0, t, reversed_time=True), stop=stop)[:3]
     if hit:
         raise HitSingularityError(s_end)
     return y
@@ -377,7 +373,7 @@ def _boundary_run(d: DrivingTerm, theta0: float, t_end: float, params: FlowParam
         return gap(s, th) <= params.eps_hit
 
     t, th, hit = _dp54(rhs, 0.0, t_end, th0, params, cap=cap,
-                       breaks=d.breaks_in(0.0, t_end), stop=stop, record=record)
+                       breaks=d.breaks_in(0.0, t_end), stop=stop, record=record)[:3]
     return hit, t, th
 
 
@@ -422,31 +418,72 @@ def hitting_time(d: DrivingTerm, theta0: float,
     return t, side
 
 
+def _born_flow(d: DrivingTerm, birth: float, end: float, field, params: FlowParams):
+    """Integrate a chart y from y = 0 at the singularity at time birth to time end.
+
+    field(slope) is the right-hand side dy/dr, with r = |s - birth|, on a
+    driver cell where sigma has that slope; it must be finite at y = 0.
+    Time runs forward when end > birth and backward otherwise; either way
+    each driver cell is one _dp54 run, which starts from the step size the
+    previous cell ended with.  Every flow born at the singularity grows like
+    2 sqrt(r), so the birth cell runs in rho = sqrt(r), where it is smooth.
+    Returns (y, err), err summing the embedded error estimates of all steps.
+    """
+    if end > birth:
+        nodes = [birth] + d.breaks_in(birth, end) + [end]
+    else:
+        nodes = [birth] + d.breaks_in(end, birth)[::-1] + [end]
+    y, h, err = 0.0, None, 0.0
+    for a, b in zip(nodes, nodes[1:]):
+        rhs = field(d._slope[bisect.bisect_right(d._g, 0.5 * (a + b)) - 1])
+        span = abs(b - a)
+        if a == birth:   # r = rho^2, so dy/drho = 2 rho dy/dr
+            rho = math.sqrt(span)
+            _, y, _, h, e = _dp54(lambda x, z: 2.0 * x * rhs(x * x, z), 0.0, rho, y, params)
+            h *= 2.0 * rho   # the next rho step, as a step in r
+        else:
+            _, y, _, h, e = _dp54(rhs, 0.0, span, y, params, h=h)
+        err += e
+    return y, err
+
+
+def _angle_field(slope: float):
+    """Angle flow in reversed time, in the chart v = (theta - sigma)^2.
+
+    dv/dr = 2 w cot(w/2) + 2 w slope with w = sqrt(v), finite at v = 0
+    because w cot(w/2) -> 2; slope carries the side's sign.
+    """
+    def rhs(r, v):
+        if v <= 0.0:
+            return 4.0
+        w = math.sqrt(v)
+        return 2.0 * w * (1.0 / math.tan(0.5 * w) + slope)
+
+    return rhs
+
+
+def _tip_field(slope: float):
+    """Upward flow from the singularity, in the chart q = (1 - g / xi(s))^2.
+
+    With p = sqrt(q) = 1 - g / xi(s), dq/ds = 2 (1 - p) (2 - p + i slope p),
+    finite at q = 0.  The flow stays inside the disk, so Re p > 0 and the
+    principal square root is the right branch.
+    """
+    def rhs(r, q):
+        p = cmath.sqrt(q)
+        return 2.0 * (1.0 - p) * (2.0 - p + 1j * slope * p)
+
+    return rhs
+
+
 def _absorbed_angle(d: DrivingTerm, t: float, sign: float, params: FlowParams) -> float:
     """Start angle absorbed at time t, on the plus side (sign 1) or minus side (-1).
 
     Integrates the angle flow backward from the singularity at time t down to
-    s = 0.  In the chart v = u^2, u = theta - sigma, and in reversed time
-    r = t - s the flow reads
-
-        dv/dr = 2 w cot(w/2) + sign * 2 w sigma',   w = sqrt(v),
-
-    which is finite at v = 0 because w cot(w/2) -> 2.  sigma' is constant on
-    each driver cell, so every cell is one flow with an autonomous right-hand
-    side.  Returns sign * sqrt(v) at s = 0, where sigma(0) = 0.
+    s = 0, in the chart v = u^2 of u = theta - sigma.  Returns sign * sqrt(v)
+    at s = 0, where sigma(0) = 0.
     """
-    nodes = [0.0] + d.breaks_in(0.0, t) + [t]
-    v = 0.0
-    for i in reversed(range(len(nodes) - 1)):
-        slope = sign * d._slope[i]
-
-        def rhs(r, v, slope=slope):
-            if v <= 0.0:
-                return 4.0
-            w = math.sqrt(v)
-            return 2.0 * w * (1.0 / math.tan(0.5 * w) + slope)
-
-        _, v, _ = _dp54(rhs, 0.0, nodes[i + 1] - nodes[i], v, params)
+    v, _ = _born_flow(d, t, 0.0, lambda slope: _angle_field(sign * slope), params)
     return sign * math.sqrt(v)
 
 
@@ -481,36 +518,23 @@ def hitting_profile(d: DrivingTerm, n: int = 32,
     return tuple(profiles)
 
 
-_TRACE_EPS = (1e-2, 5e-3, 2.5e-3)
-
-
 def trace_point(d: DrivingTerm, t: float,
                 params: FlowParams = DEFAULT_FLOW_PARAMS,
                 residual_tol: float = 1e-3) -> TraceSample:
-    """Trace tip gamma(t), by flowing up from just inside the singular ray.
+    """Trace tip gamma(t): the upward flow from the singularity at T - t to T.
 
-    Runs the shifted driver s -> sigma(T - t + s) - sigma(T - t), starts at
-    radius 1 - eps on the ray of the shifted singularity, rotates the result
-    back, and Richardson-extrapolates over the fixed eps sequence.
+    The flow runs in the rotating chart q = (1 - g / xi(s))^2, which is smooth
+    at its start, and the tip is xi(T) (1 - sqrt(q(T))).  The residual is the
+    summed embedded error estimate carried to the tip, |dq| / (2 |sqrt(q)|).
     """
     if not 0.0 < t <= d.T:
         raise ValidationError("trace time must lie in (0, T]")
-    shifted = d.shifted(t)
-    rot = cmath.exp(1j * d.sigma_at(d.T - t))
-    vals = [rot * upward_flow(shifted, complex(1.0 - eps, 0.0), t, params)
-            for eps in _TRACE_EPS]
-    # first-order Neville table in eps (eps halves at each level)
-    level = list(vals)
-    tables = [list(vals)]
-    while len(level) > 1:
-        level = [2.0 * level[i + 1] - level[i] for i in range(len(level) - 1)]
-        tables.append(level)
-    tip = level[0]
-    residual = abs(tables[-2][1] - tables[-2][0]) if len(tables) >= 2 else 0.0
-    residual = max(residual, abs(vals[-1] - vals[-2]))
+    q, err = _born_flow(d, d.T - t, d.T, _tip_field, params)
+    p = cmath.sqrt(q)
+    residual = err / (2.0 * abs(p))
     if residual > residual_tol:
         raise TraceError(residual)
-    return TraceSample(t, tip, residual)
+    return TraceSample(t, d.xi_at(d.T) * (1.0 - p), residual)
 
 
 def trace_curve(d: DrivingTerm, count: int,

@@ -30,6 +30,7 @@ __all__ = [
     "h_half_seminorm_detail",
     "wp_cross_condition",
     "vmo_modulus",
+    "vmo_curve",
     "bmo_norm",
     "qs_constant",
     "mr_constant",
@@ -230,15 +231,23 @@ def vmo_modulus(u, scale: float, samples: int = 2048) -> float:
     return float(osc.max())
 
 
-def bmo_norm(u, samples: int = 2048, min_window: int = 8) -> float:
-    """Supremum of vmo_modulus over dyadic window scales."""
+def vmo_curve(u, samples: int = 2048, min_window: int = 8) -> list:
+    """[scale, vmo_modulus] pairs at the dyadic scales span, span / 2, ...
+
+    Scales stop before a window would hold fewer than min_window samples.
+    """
     _, span, h, _ = _window_setup(u, samples)
-    best = 0.0
+    curve = []
     scale = span
     while scale / h >= min_window:
-        best = max(best, vmo_modulus(u, scale, samples))
+        curve.append([scale, vmo_modulus(u, scale, samples)])
         scale *= 0.5
-    return best
+    return curve
+
+
+def bmo_norm(u, samples: int = 2048, min_window: int = 8) -> float:
+    """Supremum of vmo_modulus over dyadic window scales."""
+    return max((m for _, m in vmo_curve(u, samples, min_window)), default=0.0)
 
 
 def qs_constant(h: ArcHomeomorphism, max_depth: int = 9, positions: int = 256) -> float:

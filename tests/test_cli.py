@@ -303,3 +303,20 @@ def test_quad_level_cap_exits_2_before_compute(tmp_path, closed_form_path, monke
     assert main(["analyze", "--welding", closed_form_path, "--out", str(out),
                  "--quad-level", "100000000"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), MemoryError()])
+def test_os_and_memory_failures_exit_6_and_remove_output(tmp_path, driver_path,
+                                                         monkeypatch, exc):
+    # a writer that dies halfway leaves a partial file, which must not survive
+    def failing_writer(path, w):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(WELDING_HEADER + "\n0,")
+        raise exc
+
+    monkeypatch.setattr(cli, "save_welding_csv", failing_writer)
+    out = tmp_path / "w.csv"
+    assert main(["weld", "--driver", driver_path, "--out", str(out),
+                 "--samples", "16"]) == 6
+    assert not out.exists()
+    assert _exit_code(exc) == 6
