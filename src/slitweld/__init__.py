@@ -8,7 +8,7 @@ extension, interior shear, slit parametrization) are all evaluable.
 """
 
 from .arcfun import ArcFunction, ArcHomeomorphism
-from .circle import (CirclePoint, MobiusCircleMap, OrientedArc, arc, arc_contains,
+from .circle import (CirclePoint, MobiusCircleMap, OrientedArc, arc,
                      canonical_angle, mobius_from_triple)
 from .constructions import (BeltramiField, CirclePiece, DiskMapEvaluator,
                             PiecewiseCircleMap, build_capital_psi, build_psi,
@@ -28,7 +28,7 @@ from .regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
                          lip_half_norm, loewner_energy, mr_constant, qs_constant,
                          vmo_curve, vmo_modulus, wp_cross_condition)
 from .welding import (Welding, build_tau, extract_welding, pair_residuals,
-                      radial_slit_welding, welding_apply,
+                      radial_slit_welding,
                       welding_as_homeomorphism, welding_log_derivative)
 
 __version__ = "0.1.0"

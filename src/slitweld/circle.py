@@ -23,7 +23,6 @@ __all__ = [
     "MobiusCircleMap",
     "canonical_angle",
     "arc",
-    "arc_contains",
     "conjugate_point",
     "mobius_from_triple",
     "mobius_eval",
@@ -95,6 +94,7 @@ class OrientedArc:
         return CirclePoint(self.start.angle + s)
 
     def contains(self, p: CirclePoint, tol: float = 1e-12) -> bool:
+        """Closed-arc membership with angular tolerance at the endpoints."""
         try:
             self.offset_of(p, tol)
             return True
@@ -105,11 +105,6 @@ class OrientedArc:
 def arc(start_angle: float, end_angle: float) -> OrientedArc:
     """Shorthand constructor from raw angles."""
     return OrientedArc(CirclePoint(start_angle), CirclePoint(end_angle))
-
-
-def arc_contains(a: OrientedArc, p: CirclePoint, tol: float = 1e-12) -> bool:
-    """Closed-arc membership with angular tolerance at the endpoints."""
-    return a.contains(p, tol)
 
 
 def conjugate_point(p: CirclePoint) -> CirclePoint:

@@ -52,14 +52,14 @@ _COUNT_MINIMUMS = {
 # Caps keep one stage within about 256 MiB of working memory and about a
 # minute on a 2-core x86-64 machine; the costs behind them, measured there:
 _COUNT_MAXIMUMS = {
-    "welding_samples": 32768,     # two backward flows, 0.9 ms, per sample (2-node driver)
-    "trace_count": 4096,          # one upward flow, 1.2 ms, per tip
+    "welding_samples": 32768,     # two backward flows, 0.3 ms, per sample (2-node driver)
+    "trace_count": 4096,          # one upward flow, 0.6 ms, per tip
     "quad_level": 8192,           # construct sums 126 m^2 chordal cells, 36 s at the cap
     "boundary_samples": 65536,    # 360 bytes of JSON and 0.13 ms per sample
     "profile_samples": 32768,     # as welding_samples
-    "window_samples": 8192,       # mean oscillation holds 4 n^2 bytes, 256 MiB at the cap
+    "window_samples": 8192,       # mean oscillation in row blocks: 2 MiB, 0.2 s at the cap
     "qs_positions": 1 << 20,      # about 140 bytes and 2 us per position
-    "residual_count": 4096,       # two upward flows, 9 ms, per probe
+    "residual_count": 4096,       # two upward flows, 4.4 ms, per probe
 }
 
 

@@ -98,6 +98,7 @@ class DrivingTerm:
         self._g = grid.tolist()
         self._s = sigma.tolist()
         self._slope = (np.diff(sigma) / np.diff(grid)).tolist()
+        self._g_rev = [self.T - g for g in reversed(self._g)]
 
     @classmethod
     def constant(cls, T: float) -> "DrivingTerm":
@@ -146,11 +147,8 @@ class DrivingTerm:
         With reversed_time the lookup argument is T - s, so the kinks sit at
         s = T - grid node.
         """
-        if reversed_time:
-            pts = [self.T - g for g in reversed(self._g)]
-        else:
-            pts = self._g
-        return [p for p in pts if t0 < p < t1]
+        pts = self._g_rev if reversed_time else self._g
+        return pts[bisect.bisect_right(pts, t0):bisect.bisect_left(pts, t1)]
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _E = (  # b5 - b4, for the embedded error estimate
     35 / 384 - 5179 / 57600,
     0.0,
@@ -191,6 +189,14 @@ _E = (  # b5 - b4, for the embedded error estimate
     11 / 84 - 187 / 2100,
     -1 / 40,
 )
+
+# the tableau entries by name, for the written-out step; the last row of _A
+# equals _B, so the seventh stage is evaluated at the fifth-order solution
+_C1, _C2, _C3, _C4, _C5, _C6, _C7 = _C
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65) = _A[1:6]
+_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 
 def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
@@ -203,14 +209,23 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
     and at most 0.1.  Returns (t, y, stopped, h, err): h is the step the
     controller proposes next, so a following run can start from it, and err
     sums the embedded error estimates of the accepted steps.
+
+    The step is the tableau written out term by term, left to right with
+    its zero coefficients skipped; the seventh stage, taken at the
+    fifth-order solution, is the first stage of the next step.
     """
     span = t1 - t0
     if span <= 0.0:
         return t0, y0, False, h, 0.0
     t, y = t0, y0
-    brk = list(breaks) if breaks else []
+    brk = breaks or ()
+    nb = len(brk)
     ib = 0
-    h_min = 1e-15 * max(1.0, abs(span))
+    # the conditional expressions below pick what min and max would, without
+    # a builtin call per step
+    atol, rtol, max_steps = params.atol, params.rtol, params.max_steps
+    t_last = t1 - 1e-14 * (t1 if t1 > 1.0 else 1.0)
+    h_min = 1e-15 * (span if span > 1.0 else 1.0)
     k1 = f(t, y)
     if h is None:
         h = min(span / 16.0, 0.1)
@@ -218,56 +233,51 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
     if cap is not None:
         h = min(h, cap(t, y))
     nsteps = 0
-    while t < t1 - 1e-14 * max(1.0, t1):
-        if nsteps >= params.max_steps:
-            raise IntegrationError(f"step budget {params.max_steps} exhausted at t={t:.6g}")
-        while ib < len(brk) and brk[ib] <= t + 1e-14 * max(1.0, abs(t)):
+    while t < t_last:
+        if nsteps >= max_steps:
+            raise IntegrationError(f"step budget {max_steps} exhausted at t={t:.6g}")
+        while ib < nb and brk[ib] <= t + 1e-14 * max(1.0, abs(t)):
             ib += 1
-        limit = brk[ib] - t if ib < len(brk) else t1 - t
+        limit = brk[ib] - t if ib < nb else t1 - t
         h_max = limit
         if cap is not None:
             h_max = min(h_max, cap(t, y))
         if h_max < h_min:
             raise DiagnosticsError(
                 f"step collapsed below {h_min:.3g} at t={t:.6g}; driver too rough")
-        h = min(h, h_max)
-        snap = h >= limit - 1e-14 * max(1.0, limit)
+        if h_max < h:
+            h = h_max
+        snap = h >= limit - 1e-14 * (limit if limit > 1.0 else 1.0)
         if snap:
             h = limit
 
-        k = [k1, None, None, None, None, None, None]
-        for i in range(1, 7):
-            yi = y
-            a = _A[i]
-            for j in range(i):
-                if a[j] != 0.0:
-                    yi = yi + (h * a[j]) * k[j]
-            k[i] = f(t + _C[i] * h, yi)
-        y5 = y
-        for j in range(7):
-            if _B5[j] != 0.0:
-                y5 = y5 + (h * _B5[j]) * k[j]
-        err = 0.0
-        for j in range(7):
-            if _E[j] != 0.0:
-                err += _E[j] * k[j]
-        err = abs(h * err)
-        tol = params.atol + params.rtol * max(abs(y), abs(y5))
+        k2 = f(t + _C2 * h, y + (h * _A21) * k1)
+        k3 = f(t + _C3 * h, y + (h * _A31) * k1 + (h * _A32) * k2)
+        k4 = f(t + _C4 * h, y + (h * _A41) * k1 + (h * _A42) * k2 + (h * _A43) * k3)
+        k5 = f(t + _C5 * h, y + (h * _A51) * k1 + (h * _A52) * k2 + (h * _A53) * k3
+               + (h * _A54) * k4)
+        k6 = f(t + _C6 * h, y + (h * _A61) * k1 + (h * _A62) * k2 + (h * _A63) * k3
+               + (h * _A64) * k4 + (h * _A65) * k5)
+        y5 = (y + (h * _B1) * k1 + (h * _B3) * k3 + (h * _B4) * k4 + (h * _B5) * k5
+              + (h * _B6) * k6)
+        k7 = f(t + _C7 * h, y5)
+        err = abs(h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7))
+        a0, a5 = abs(y), abs(y5)
+        tol = atol + rtol * (a5 if a5 > a0 else a0)
         nsteps += 1
         if err <= tol:
-            t = brk[ib] if (snap and ib < len(brk)) else (t1 if snap else t + h)
+            t = brk[ib] if (snap and ib < nb) else (t1 if snap else t + h)
             y = y5
-            k1 = k[6]  # FSAL
+            k1 = k7
             err_sum += err
             if record is not None:
                 record(t, y)
             if stop is not None and stop(t, y):
                 return t, y, True, h, err_sum
-            factor = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
-            h = h * factor
+            factor = 4.0 if err == 0.0 else 0.9 * (tol / err) ** 0.2
+            h = h * (factor if factor < 4.0 else 4.0)
         else:
             h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
-            k1 = k[0]
     return t, y, False, h, err_sum
 
 
@@ -431,11 +441,14 @@ def _born_flow(d: DrivingTerm, birth: float, end: float, field, params: FlowPara
     """
     if end > birth:
         nodes = [birth] + d.breaks_in(birth, end) + [end]
+        cell, step = bisect.bisect_right(d._g, birth) - 1, 1
     else:
         nodes = [birth] + d.breaks_in(end, birth)[::-1] + [end]
+        cell, step = bisect.bisect_left(d._g, birth) - 1, -1
     y, h, err = 0.0, None, 0.0
     for a, b in zip(nodes, nodes[1:]):
-        rhs = field(d._slope[bisect.bisect_right(d._g, 0.5 * (a + b)) - 1])
+        rhs = field(d._slope[cell])
+        cell += step
         span = abs(b - a)
         if a == birth:   # r = rho^2, so dy/drho = 2 rho dy/dr
             rho = math.sqrt(span)

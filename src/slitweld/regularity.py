@@ -227,7 +227,13 @@ def vmo_modulus(u, scale: float, samples: int = 2048) -> float:
         vals = np.concatenate((vals, vals[: wlen - 1]))
     windows = sliding_window_view(vals, wlen)
     means = windows.mean(axis=1)
-    osc = np.abs(windows - means[:, None]).mean(axis=1)
+    # the deviations from the window means are taken in row blocks of about
+    # _BLOCK_CELLS samples, so memory is O(samples) at any window length
+    osc = np.empty_like(means)
+    rows = max(1, _BLOCK_CELLS // wlen)
+    for lo in range(0, means.size, rows):
+        dev = windows[lo:lo + rows] - means[lo:lo + rows, None]
+        osc[lo:lo + rows] = np.abs(dev, out=dev).mean(axis=1)
     return float(osc.max())
 
 

@@ -22,7 +22,6 @@ from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, _absorbed_an
 __all__ = [
     "Welding",
     "extract_welding",
-    "welding_apply",
     "welding_log_derivative",
     "welding_as_homeomorphism",
     "build_tau",
@@ -89,7 +88,8 @@ class Welding:
         return OrientedArc(self.alpha_minus, CirclePoint(0.0))
 
     def apply(self, p: CirclePoint) -> CirclePoint:
-        return welding_apply(self, p)
+        """Welded partner of a point on either preimage arc."""
+        return CirclePoint(self.apply_angle(p.angle))
 
     def apply_angle(self, theta):
         """Partner angle(s), canonical; accepts scalars or arrays."""
@@ -112,11 +112,6 @@ class Welding:
             out[rest] = np.interp(t, self.times, self.theta_plus)
         out = np.mod(out + math.pi, TWO_PI) - math.pi
         return out if out.ndim else float(out)
-
-
-def welding_apply(w: Welding, p: CirclePoint) -> CirclePoint:
-    """Welded partner of a point on either preimage arc."""
-    return CirclePoint(w.apply_angle(p.angle))
 
 
 def welding_log_derivative(w: Welding) -> ArcFunction:

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from slitweld.errors import DiagnosticsError, IntegrationError
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -213,6 +215,107 @@ def scipy_boundary_angle(sigma_fn, theta0: float, t: float,
     if not sol.success:
         raise RuntimeError(f"scipy integration failed: {sol.message}")
     return float(sol.y[0, -1])
+
+
+# ------------------------------------------------- generic DP5(4) reference
+
+# Dormand-Prince 5(4) tableau, copied from the library as a frozen reference
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+DP_E = (  # b5 - b4, for the embedded error estimate
+    35 / 384 - 5179 / 57600,
+    0.0,
+    500 / 1113 - 7571 / 16695,
+    125 / 192 - 393 / 640,
+    -2187 / 6784 + 92097 / 339200,
+    11 / 84 - 187 / 2100,
+    -1 / 40,
+)
+
+
+def reference_dp54(f, t0, t1, y0, params, cap=None, breaks=None, stop=None,
+                   record=None, h=None):
+    """The library's adaptive DP5(4) stepper as a generic tableau loop.
+
+    Same arguments and (t, y, stopped, h, err) result as loewner._dp54; kept
+    as the loop it was written as, so a rewritten stepper can be checked
+    against it for bit-identical output.
+    """
+    span = t1 - t0
+    if span <= 0.0:
+        return t0, y0, False, h, 0.0
+    t, y = t0, y0
+    brk = list(breaks) if breaks else []
+    ib = 0
+    h_min = 1e-15 * max(1.0, abs(span))
+    k1 = f(t, y)
+    if h is None:
+        h = min(span / 16.0, 0.1)
+    err_sum = 0.0
+    if cap is not None:
+        h = min(h, cap(t, y))
+    nsteps = 0
+    while t < t1 - 1e-14 * max(1.0, t1):
+        if nsteps >= params.max_steps:
+            raise IntegrationError(f"step budget {params.max_steps} exhausted at t={t:.6g}")
+        while ib < len(brk) and brk[ib] <= t + 1e-14 * max(1.0, abs(t)):
+            ib += 1
+        limit = brk[ib] - t if ib < len(brk) else t1 - t
+        h_max = limit
+        if cap is not None:
+            h_max = min(h_max, cap(t, y))
+        if h_max < h_min:
+            raise DiagnosticsError(
+                f"step collapsed below {h_min:.3g} at t={t:.6g}; driver too rough")
+        h = min(h, h_max)
+        snap = h >= limit - 1e-14 * max(1.0, limit)
+        if snap:
+            h = limit
+
+        k = [k1, None, None, None, None, None, None]
+        for i in range(1, 7):
+            yi = y
+            a = DP_A[i]
+            for j in range(i):
+                if a[j] != 0.0:
+                    yi = yi + (h * a[j]) * k[j]
+            k[i] = f(t + DP_C[i] * h, yi)
+        y5 = y
+        for j in range(7):
+            if DP_B5[j] != 0.0:
+                y5 = y5 + (h * DP_B5[j]) * k[j]
+        err = 0.0
+        for j in range(7):
+            if DP_E[j] != 0.0:
+                err += DP_E[j] * k[j]
+        err = abs(h * err)
+        tol = params.atol + params.rtol * max(abs(y), abs(y5))
+        nsteps += 1
+        if err <= tol:
+            t = brk[ib] if (snap and ib < len(brk)) else (t1 if snap else t + h)
+            y = y5
+            k1 = k[6]  # FSAL
+            err_sum += err
+            if record is not None:
+                record(t, y)
+            if stop is not None and stop(t, y):
+                return t, y, True, h, err_sum
+            factor = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
+            h = h * factor
+        else:
+            h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
+            k1 = k[0]
+    return t, y, False, h, err_sum
 
 
 # ------------------------------------------------------------- random drivers

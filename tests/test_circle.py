@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slitweld.circle import (CirclePoint, MobiusCircleMap, OrientedArc, arc,
-                             arc_contains, canonical_angle, conjugate_point,
+                             canonical_angle, conjugate_point,
                              mobius_eval, mobius_from_triple)
 from slitweld.errors import ValidationError
 
@@ -47,7 +47,7 @@ def test_arc_offsets_and_membership():
     a = arc(-0.5, 1.0)
     assert abs(a.offset_of(CirclePoint(0.25)) - 0.75) < 1e-12
     assert a.contains(CirclePoint(1.0))
-    assert not arc_contains(a, CirclePoint(2.0))
+    assert not a.contains(CirclePoint(2.0))
     with pytest.raises(ValidationError):
         a.offset_of(CirclePoint(2.0))
     assert abs(a.at_offset(0.75).angle - 0.25) < 1e-12

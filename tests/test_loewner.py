@@ -16,7 +16,9 @@ from slitweld.errors import (
     TraceError,
     ValidationError,
 )
+from slitweld import loewner
 from slitweld.loewner import (
+    DEFAULT_FLOW_PARAMS,
     PRECISE_FLOW_PARAMS,
     DrivingTerm,
     boundary_flow,
@@ -67,6 +69,16 @@ def test_driver_breaks_in():
     # reversed time: kinks of sigma(T - s) sit at s = T - node
     assert d.breaks_in(0.0, 1.0, reversed_time=True) == pytest.approx([0.3, 0.75])
 
+
+def test_driver_breaks_in_matches_node_scan(d_sqrt, rng):
+    g = d_sqrt.grid.tolist()
+    rev = [d_sqrt.T - x for x in reversed(g)]
+    ends = [(float(a), float(b)) for a, b in np.sort(rng.uniform(-0.1, 1.1, (50, 2)))]
+    ends += [(g[i], g[j]) for i in range(0, 257, 16) for j in range(i, 257, 16)]
+    ends += [(rev[i], rev[j]) for i in range(0, 257, 16) for j in range(i, 257, 16)]
+    for t0, t1 in ends:
+        assert d_sqrt.breaks_in(t0, t1) == [p for p in g if t0 < p < t1]
+        assert d_sqrt.breaks_in(t0, t1, reversed_time=True) == [p for p in rev if t0 < p < t1]
 
 def test_upward_flow_fixes_origin_and_contracts(d_sqrt):
     assert upward_flow(d_sqrt, 0j, d_sqrt.T) == 0j
@@ -196,3 +208,101 @@ def test_trace_point_validation_and_residual_gate(d_const):
         trace_point(d_const, d_const.T + 0.1)
     with pytest.raises(TraceError):
         trace_point(d_const, d_const.T, residual_tol=1e-12)
+
+
+def test_dp54_tableau_row_sums():
+    assert (loewner._C, loewner._A, loewner._B, loewner._E) == (
+        oracles.DP_C, oracles.DP_A, oracles.DP_B5, oracles.DP_E)
+    for c, row in zip(loewner._C, loewner._A):
+        assert sum(row) == pytest.approx(c, abs=1e-15)
+    assert sum(loewner._B) == pytest.approx(1.0, abs=1e-15)
+    assert sum(oracles.DP_B4) == pytest.approx(1.0, abs=1e-15)
+    # the seventh stage is taken at the fifth-order solution (FSAL)
+    assert loewner._A[6] == loewner._B[:6] and loewner._B[6] == 0.0
+
+
+def test_dp54_bit_identical_to_generic_loop(d_sqrt):
+    params = DEFAULT_FLOW_PARAMS
+    slope = d_sqrt._slope[3]
+
+    def both(f, t0, t1, y0, **kw):
+        got, want = loewner._dp54(f, t0, t1, y0, params, **kw), oracles.reference_dp54(
+            f, t0, t1, y0, params, **kw)
+        assert got == want
+        return got
+
+    # the angle field in the rho chart of its birth cell
+    angle = loewner._angle_field(slope)
+    rho = math.sqrt(0.01)
+    both(lambda x, z: 2.0 * x * angle(x * x, z), 0.0, rho, 0.0)
+
+    # the complex tip field, on a second cell from the carried step size
+    tip = loewner._tip_field(slope)
+    _, q, _, h, _ = both(lambda x, z: 2.0 * x * tip(x * x, z), 0.0, rho, 0.0)
+    both(loewner._tip_field(d_sqrt._slope[4]), 0.0, 0.02, q, h=h * 2.0 * rho)
+
+    # an upward flow, with its step cap and the driver kinks as breaks
+    def rhs(s, y):
+        xi = d_sqrt.xi_at(s)
+        return -y * (xi + y) / (xi - y)
+
+    def cap(s, y):
+        delta = abs(d_sqrt.xi_at(s) - y)
+        return max(params.c_step * delta * delta, 1e-14)
+
+    both(rhs, 0.0, 0.7, 0.6 + 0.3j, cap=cap, breaks=d_sqrt.breaks_in(0.0, 0.7))
+
+    # a boundary run that rejects steps, records every accepted one and stops
+    calls = [0]
+    boundary = loewner._boundary_rhs(d_sqrt)
+
+    def counted(s, th):
+        calls[0] += 1
+        return boundary(s, th)
+
+    def gap(s, th):
+        u = th - d_sqrt.sigma_at(s)
+        return min(u, 2.0 * math.pi - u)
+
+    runs = []
+    for run in (loewner._dp54, oracles.reference_dp54):
+        calls[0] = 0
+        rec = []
+        out = run(counted, 0.0, d_sqrt.T, 0.5, params,
+                  cap=lambda s, th: max(params.c_step * gap(s, th) ** 2, 1e-16),
+                  breaks=d_sqrt.breaks_in(0.0, d_sqrt.T),
+                  stop=lambda s, th: gap(s, th) <= params.eps_hit,
+                  record=lambda s, th: rec.append((s, th)))
+        runs.append((out, rec, calls[0]))
+    assert runs[0] == runs[1]
+    (_, _, stopped, _, _), rec, n_evals = runs[0]
+    assert stopped
+    assert n_evals > 1 + 6 * len(rec)      # at least one step was rejected
+
+
+def test_born_flow_work_does_not_grow(d_sqrt, monkeypatch):
+    # right-hand-side evaluations of the flows born at the singularity; a
+    # speedup must come from cheaper steps, not from skipped stages.  Counts
+    # measured with the generic tableau loop, before the step was written out:
+    # 169760 for hitting_profile(d_sqrt, 64), 26448 for trace_curve(d_sqrt, 32)
+    calls = [0]
+
+    def counting(make_field):
+        def field(slope):
+            rhs = make_field(slope)
+
+            def counted(r, y):
+                calls[0] += 1
+                return rhs(r, y)
+
+            return counted
+
+        return field
+
+    monkeypatch.setattr(loewner, "_angle_field", counting(loewner._angle_field))
+    monkeypatch.setattr(loewner, "_tip_field", counting(loewner._tip_field))
+    hitting_profile(d_sqrt, 64)
+    assert calls[0] <= 169760
+    calls[0] = 0
+    trace_curve(d_sqrt, 32)
+    assert calls[0] <= 26448
