@@ -1,8 +1,7 @@
 """Sampled functions and homeomorphisms on circle arcs.
 
 Positions along an arc are angular offsets from its start point, so samples on
-a wrapped arc stay monotone.  A function on the full circle is represented with
-arc=None and periodic interpolation.
+a wrapped arc stay monotone.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ __all__ = ["ArcFunction", "ArcHomeomorphism"]
 
 @dataclass
 class ArcFunction:
-    """Piecewise-linear sampled function on an arc (or the circle, arc=None)."""
+    """Piecewise-linear sampled function on an arc."""
 
-    arc: OrientedArc | None
+    arc: OrientedArc
     offsets: np.ndarray
     values: np.ndarray
     low_confidence: np.ndarray | None = None   # mask of nodes with one-sided data
@@ -36,38 +35,18 @@ class ArcFunction:
             raise ValidationError("need at least two sample nodes")
         if np.any(np.diff(self.offsets) <= 0.0):
             raise ValidationError("sample offsets must be strictly increasing")
-        span = TWO_PI if self.arc is None else self.arc.length
-        if self.offsets[0] < -1e-12 or self.offsets[-1] > span + 1e-12:
+        if self.offsets[0] < -1e-12 or self.offsets[-1] > self.arc.length + 1e-12:
             raise ValidationError("sample offsets must lie within the arc")
         if not (np.all(np.isfinite(self.offsets)) and np.all(np.isfinite(self.values))):
             raise ValidationError("samples must be finite")
 
-    @property
-    def span(self) -> float:
-        return TWO_PI if self.arc is None else self.arc.length
-
-    @classmethod
-    def on_circle(cls, angles, values) -> "ArcFunction":
-        """Circle function from canonical angles (sorted into [0, 2 pi))."""
-        a = np.mod(np.asarray(angles, dtype=float), TWO_PI)
-        order = np.argsort(a)
-        return cls(None, a[order], np.asarray(values, dtype=float)[order])
-
     def eval_offset(self, s):
-        """Interpolate at offsets; clamped at arc ends, periodic on the circle."""
-        s = np.asarray(s, dtype=float)
-        if self.arc is None:
-            period = TWO_PI
-            xs = np.concatenate((self.offsets, [self.offsets[0] + period]))
-            ys = np.concatenate((self.values, [self.values[0]]))
-            return np.interp(np.mod(s - self.offsets[0], period) + self.offsets[0], xs, ys)
-        return np.interp(s, self.offsets, self.values)
+        """Interpolate at offsets, clamped at the arc ends."""
+        return np.interp(np.asarray(s, dtype=float), self.offsets, self.values)
 
     def eval_angle(self, theta):
         """Interpolate at circle angles."""
         theta = np.asarray(theta, dtype=float)
-        if self.arc is None:
-            return self.eval_offset(np.mod(theta, TWO_PI))
         rel = np.mod(theta - self.arc.start.angle, TWO_PI)
         return np.interp(rel, self.offsets, self.values)
 

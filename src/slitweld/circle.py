@@ -23,9 +23,7 @@ __all__ = [
     "MobiusCircleMap",
     "canonical_angle",
     "arc",
-    "conjugate_point",
     "mobius_from_triple",
-    "mobius_eval",
 ]
 
 
@@ -107,11 +105,6 @@ def arc(start_angle: float, end_angle: float) -> OrientedArc:
     return OrientedArc(CirclePoint(start_angle), CirclePoint(end_angle))
 
 
-def conjugate_point(p: CirclePoint) -> CirclePoint:
-    """Complex conjugation on the circle: angle negation."""
-    return CirclePoint(-p.angle)
-
-
 def _ccw_triple(a1: float, a2: float, a3: float) -> bool:
     # strict counterclockwise cyclic order of three distinct angles
     g12 = math.fmod(a2 - a1, TWO_PI) % TWO_PI
@@ -169,22 +162,6 @@ class MobiusCircleMap:
         phase = cmath.exp(1j * self.rotation)
         return MobiusCircleMap(-self.rotation, -phase * self.pole)
 
-    def compose(self, other: MobiusCircleMap) -> MobiusCircleMap:
-        """self after other (self o other)."""
-        e1 = cmath.exp(1j * self.rotation)
-        e2 = cmath.exp(1j * other.rotation)
-        a1, b1, c1, d1 = e1, -e1 * self.pole, -self.pole.conjugate(), 1.0 + 0j
-        a2, b2, c2, d2 = e2, -e2 * other.pole, -other.pole.conjugate(), 1.0 + 0j
-        a = a1 * a2 + b1 * c2
-        b = a1 * b2 + b1 * d2
-        c = c1 * a2 + d1 * c2
-        d = c1 * b2 + d1 * d2
-        pole = -b / a
-        base = MobiusCircleMap(0.0, pole)
-        w_ref = (a + b) / (c + d)  # image of z = 1
-        rot = cmath.phase(w_ref / base(1.0 + 0j))
-        return MobiusCircleMap(rot, pole)
-
 
 def mobius_from_triple(src: tuple[CirclePoint, CirclePoint, CirclePoint],
                        dst: tuple[CirclePoint, CirclePoint, CirclePoint]) -> MobiusCircleMap:
@@ -227,9 +204,3 @@ def mobius_from_triple(src: tuple[CirclePoint, CirclePoint, CirclePoint],
         if abs(m(zp) - wp) > 1e-12:
             raise ValidationError("Mobius interpolation failed anchor verification")
     return m
-
-
-def mobius_eval(m: MobiusCircleMap, p: CirclePoint) -> tuple[CirclePoint, float]:
-    """Image of a boundary point together with the derivative modulus |m'(p)|."""
-    w = m(p.z)
-    return CirclePoint.from_complex(w), m.deriv_abs(p.z)

@@ -131,10 +131,6 @@ class PiecewiseCircleMap:
                 out[sel] = p.log_deriv(theta[sel])
         return out if out.size > 1 else float(out[0])
 
-    def sample(self, n: int):
-        th = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        return th, self.apply_angle(th)
-
 
 @dataclass
 class DiskMapEvaluator:

@@ -7,17 +7,19 @@ the downward flow is its horizon-T companion driven by sigma(T - s).  At the
 horizon the two flows are inverse to each other, which is the only time this
 holds.
 
-All flows use one adaptive Dormand-Prince 5(4) stepper.  Besides the usual
-error control the step size is capped by c_step * Delta^2 where Delta is the
-distance to the current singularity, steps land exactly on the driver grid
-nodes (the right-hand side has kinks there), and boundary trajectories
-terminate when they come within eps_hit of the driver angle.
+Every flow walks the driver cells between its start and end time, one
+adaptive Dormand-Prince 5(4) run per cell: sigma is linear on a cell, so the
+right-hand side is smooth there and the run reads sigma from the cell's node
+value and slope.  The step size and the per-flow step budget carry from cell
+to cell.  Besides the usual error control, the interior and boundary flows
+cap the step by c_step * Delta^2, where Delta is the distance to the current
+singularity, and boundary trajectories terminate when they come within
+eps_hit of the driver angle.
 
 Flows born at the singularity need no cap: the angles absorbed at a given
 time run backward from it in the chart v = (theta - sigma)^2, the trace tips
 run upward from it in the chart q = (1 - g / xi)^2, and both are smooth
-there.  One helper integrates either across the driver cells, in the time
-chart r = rho^2 on the birth cell, carrying the step size from cell to cell.
+there once the birth cell runs in the time chart r = rho^2.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ class DrivingTerm:
         self._g = grid.tolist()
         self._s = sigma.tolist()
         self._slope = (np.diff(sigma) / np.diff(grid)).tolist()
-        self._g_rev = [self.T - g for g in reversed(self._g)]
 
     @classmethod
     def constant(cls, T: float) -> "DrivingTerm":
@@ -130,25 +131,13 @@ class DrivingTerm:
         i = bisect.bisect_right(self._g, t) - 1
         return self._s[i] + self._slope[i] * (t - self._g[i])
 
-    def sigma_at_array(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.grid, self.sigma)
-
     def xi_at(self, t: float) -> complex:
         """The singularity exp(i sigma(t)) of the upward flow."""
         return cmath.exp(1j * self.sigma_at(t))
 
-    def lambda_at(self, s: float) -> complex:
-        """Downward driving value exp(i sigma(T - s))."""
-        return cmath.exp(1j * self.sigma_at(self.T - s))
-
-    def breaks_in(self, t0: float, t1: float, reversed_time: bool = False):
-        """Interior grid kinks of the right-hand side on the interval (t0, t1).
-
-        With reversed_time the lookup argument is T - s, so the kinks sit at
-        s = T - grid node.
-        """
-        pts = self._g_rev if reversed_time else self._g
-        return pts[bisect.bisect_right(pts, t0):bisect.bisect_left(pts, t1)]
+    def breaks_in(self, t0: float, t1: float):
+        """Interior grid kinks of the right-hand side on the interval (t0, t1)."""
+        return self._g[bisect.bisect_right(self._g, t0):bisect.bisect_left(self._g, t1)]
 
 
 @dataclass(frozen=True)
@@ -199,16 +188,17 @@ _B1, _B2, _B3, _B4, _B5, _B6, _B7 = _B
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 
-def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
-          record=None, h=None):
+def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, stop=None, record=None, h=None,
+          steps=0, clock=None):
     """Adaptive DP5(4) from t0 to t1.
 
-    cap(t, y) returns an extra bound on the step; breaks is a sorted list of
-    times the stepper must land on exactly; stop(t, y) terminates integration
-    when true (hit detection); h is the first trial step, by default span/16
-    and at most 0.1.  Returns (t, y, stopped, h, err): h is the step the
-    controller proposes next, so a following run can start from it, and err
-    sums the embedded error estimates of the accepted steps.
+    cap(t, y) returns an extra bound on the step; stop(t, y) terminates
+    integration when true (hit detection); h is the first trial step, by
+    default span/16 and at most 0.1; steps is the count the flow has used of
+    params.max_steps; clock(t) is the flow's time, for error messages.
+    Returns (t, y, stopped, h, err, steps): h is the step the controller
+    proposes next, so a following run can start from it, and err sums the
+    embedded error estimates of the accepted steps.
 
     The step is the tableau written out term by term, left to right with
     its zero coefficients skipped; the seventh stage, taken at the
@@ -216,11 +206,8 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
     """
     span = t1 - t0
     if span <= 0.0:
-        return t0, y0, False, h, 0.0
+        return t0, y0, False, h, 0.0, steps
     t, y = t0, y0
-    brk = breaks or ()
-    nb = len(brk)
-    ib = 0
     # the conditional expressions below pick what min and max would, without
     # a builtin call per step
     atol, rtol, max_steps = params.atol, params.rtol, params.max_steps
@@ -230,19 +217,16 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
     if h is None:
         h = min(span / 16.0, 0.1)
     err_sum = 0.0
-    if cap is not None:
-        h = min(h, cap(t, y))
-    nsteps = 0
     while t < t_last:
-        if nsteps >= max_steps:
+        if steps >= max_steps:
+            t = t if clock is None else clock(t)
             raise IntegrationError(f"step budget {max_steps} exhausted at t={t:.6g}")
-        while ib < nb and brk[ib] <= t + 1e-14 * max(1.0, abs(t)):
-            ib += 1
-        limit = brk[ib] - t if ib < nb else t1 - t
+        limit = t1 - t
         h_max = limit
         if cap is not None:
             h_max = min(h_max, cap(t, y))
         if h_max < h_min:
+            t = t if clock is None else clock(t)
             raise DiagnosticsError(
                 f"step collapsed below {h_min:.3g} at t={t:.6g}; driver too rough")
         if h_max < h:
@@ -264,26 +248,77 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, breaks=None, stop=None,
         err = abs(h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7))
         a0, a5 = abs(y), abs(y5)
         tol = atol + rtol * (a5 if a5 > a0 else a0)
-        nsteps += 1
+        steps += 1
         if err <= tol:
-            t = brk[ib] if (snap and ib < nb) else (t1 if snap else t + h)
+            t = t1 if snap else t + h
             y = y5
             k1 = k7
             err_sum += err
             if record is not None:
                 record(t, y)
             if stop is not None and stop(t, y):
-                return t, y, True, h, err_sum
+                return t, y, True, h, err_sum, steps
             factor = 4.0 if err == 0.0 else 0.9 * (tol / err) ** 0.2
             h = h * (factor if factor < 4.0 else 4.0)
         else:
             h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
-    return t, y, False, h, err_sum
+    return t, y, False, h, err_sum, steps
 
 
-def _validate_time(d: DrivingTerm, t: float):
+def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams,
+          guard=None, record=None, born=False):
+    """Integrate y from driver time start to end, one _dp54 run per driver cell.
+
+    Time runs forward when end > start and backward otherwise.  On a cell
+    entered at a, sigma = sigma_a + rate r with r = |s - a|; field(sigma_a,
+    rate) is dy/dr there and guard(sigma_a, rate), if given, the (cap, stop)
+    pair.  The step size and the step budget carry across cells.  A born
+    flow starts at the singularity and grows like 2 sqrt(r), so its first
+    cell runs in rho = sqrt(r), where it is smooth.  Returns (r, y, stopped,
+    err) in the flow's time r = |s - start|, as record(r, y) gets it; err
+    sums the embedded error estimates of all steps.
+    """
+    forward = end > start
+    if forward:
+        nodes = [start] + d.breaks_in(start, end) + [end]
+        cell, step, side = bisect.bisect_right(d._g, start) - 1, 1, 0
+    else:
+        nodes = [start] + d.breaks_in(end, start)[::-1] + [end]
+        cell, step, side = bisect.bisect_left(d._g, start) - 1, -1, 1
+    h, err, steps = None, 0.0, 0
+
+    def clock(t):   # the flow's time; r0 is read when called, at the current cell
+        return r0 + t
+
+    rec = None if record is None else (lambda t, z: record(r0 + t, z))
+    for a, b in zip(nodes, nodes[1:]):
+        slope = d._slope[cell]
+        # born charts move with sigma, so skip it; cell + side: node on the side of a
+        sigma = 0.0 if born else d._s[cell + side] + slope * (a - d._g[cell + side])
+        rate = slope if forward else -slope
+        rhs = field(sigma, rate)
+        cell += step
+        span = abs(b - a)
+        if born and a == start:   # r = rho^2, so dy/drho = 2 rho dy/dr
+            rho = math.sqrt(span)
+            _, y, _, h, e, steps = _dp54(lambda x, z: 2.0 * x * rhs(x * x, z), 0.0, rho, y,
+                                         params, steps=steps, clock=lambda x: x * x)
+            h *= 2.0 * rho   # the next rho step, as a step in r
+        else:
+            r0 = a - start if forward else start - a
+            cap, stop = (None, None) if guard is None else guard(sigma, rate)
+            t, y, stopped, h, e, steps = _dp54(rhs, 0.0, span, y, params, cap, stop, rec, h,
+                                               steps, clock)
+            if stopped:
+                return r0 + t, y, True, err + e
+        err += e
+    return abs(end - start), y, False, err
+
+
+def _validate_time(d: DrivingTerm, t: float) -> float:
     if not (0.0 <= t <= d.T + 1e-12):
         raise ValidationError(f"time {t:.6g} outside the driver horizon [0, {d.T:.6g}]")
+    return min(t, d.T)
 
 
 def upward_flow(d: DrivingTerm, z: complex, t: float,
@@ -293,24 +328,7 @@ def upward_flow(d: DrivingTerm, z: complex, t: float,
     Fixes 0 exactly; g_t'(0) = exp(-t).  Interior trajectories contract toward
     the origin and stay clear of the boundary singularity.
     """
-    _validate_time(d, t)
-    if abs(z) >= 1.0:
-        raise ValidationError("upward flow needs a point strictly inside the disk")
-    if z == 0:
-        return 0j
-    if t == 0.0:
-        return complex(z)
-
-    def rhs(s, y):
-        xi = d.xi_at(s)
-        return -y * (xi + y) / (xi - y)
-
-    def cap(s, y):
-        delta = abs(d.xi_at(s) - y)
-        return max(params.c_step * delta * delta, 1e-14)
-
-    return _dp54(rhs, 0.0, t, complex(z), params, cap=cap,
-                 breaks=d.breaks_in(0.0, t))[1]
+    return _disk_flow(d, z, t, params, up=True)
 
 
 def downward_flow(d: DrivingTerm, z: complex, t: float,
@@ -320,39 +338,47 @@ def downward_flow(d: DrivingTerm, z: complex, t: float,
     Fixes 0 exactly; f_t'(0) = exp(t).  Points on the growing slit run into the
     singularity, which raises HitSingularityError.
     """
-    _validate_time(d, t)
+    return _disk_flow(d, z, t, params, up=False)
+
+
+def _disk_flow(d: DrivingTerm, z: complex, t: float, params: FlowParams, up: bool):
+    """Upward flow forward from driver time 0, or downward flow back from T.
+
+    Both solve g' = -g (xi + g)/(xi - g) in driver time, so the downward field
+    flips sign in the flow's time.  Steps are capped by c_step |xi - g|^2; the
+    downward flow stops once |xi - g| < sing_eps.
+    """
+    t = _validate_time(d, t)
     if abs(z) >= 1.0:
-        raise ValidationError("downward flow needs a point strictly inside the disk")
+        raise ValidationError("Loewner flow needs a point strictly inside the disk")
     if z == 0:
         return 0j
     if t == 0.0:
         return complex(z)
+    c_step, sing_eps = params.c_step, params.sing_eps
 
-    def rhs(s, y):
-        lam = d.lambda_at(s)
-        return y * (lam + y) / (lam - y)
+    def field(sigma, rate):
+        def rhs(r, y):
+            xi = cmath.exp(1j * (sigma + rate * r))
+            return (-y if up else y) * (xi + y) / (xi - y)
 
-    def cap(s, y):
-        delta = abs(d.lambda_at(s) - y)
-        return max(params.c_step * delta * delta, 1e-14)
+        return rhs
 
-    def stop(s, y):
-        return abs(d.lambda_at(s) - y) < params.sing_eps
+    def guard(sigma, rate):
+        def cap(r, y):
+            delta = abs(cmath.exp(1j * (sigma + rate * r)) - y)
+            return max(c_step * delta * delta, 1e-14)
 
-    s_end, y, hit = _dp54(rhs, 0.0, t, complex(z), params, cap=cap,
-                          breaks=d.breaks_in(0.0, t, reversed_time=True), stop=stop)[:3]
+        def stop(r, y):
+            return abs(cmath.exp(1j * (sigma + rate * r)) - y) < sing_eps
+
+        return cap, (None if up else stop)
+
+    start, end = (0.0, t) if up else (d.T, d.T - t)
+    s_end, y, hit, _ = _walk(d, start, end, complex(z), field, params, guard)
     if hit:
         raise HitSingularityError(s_end)
     return y
-
-
-def _boundary_rhs(d: DrivingTerm):
-    sigma_at = d.sigma_at
-
-    def rhs(s, th):
-        return 1.0 / math.tan(0.5 * (sigma_at(s) - th))
-
-    return rhs
 
 
 def _boundary_run(d: DrivingTerm, theta0: float, t_end: float, params: FlowParams,
@@ -362,28 +388,33 @@ def _boundary_run(d: DrivingTerm, theta0: float, t_end: float, params: FlowParam
     Returns (hit, t, theta) where hit is True when the trajectory came within
     eps_hit of the singularity.
     """
-    u0 = math.fmod(theta0 - d.sigma_at(0.0), TWO_PI)
+    sigma0 = d.sigma_at(0.0)
+    u0 = math.fmod(theta0 - sigma0, TWO_PI)
     if u0 < 0.0:
         u0 += TWO_PI
     if u0 < params.eps_hit or TWO_PI - u0 < params.eps_hit:
         return True, 0.0, theta0
-    th0 = d.sigma_at(0.0) + u0
-    rhs = _boundary_rhs(d)
-    sigma_at = d.sigma_at
+    c_step, eps_hit = params.c_step, params.eps_hit
 
-    def gap(s, th):
-        u = th - sigma_at(s)
-        return min(u, TWO_PI - u)
+    def field(sigma, rate):
+        def rhs(r, th):
+            return 1.0 / math.tan(0.5 * (sigma + rate * r - th))
 
-    def cap(s, th):
-        delta = gap(s, th)
-        return max(params.c_step * delta * delta, 1e-16)
+        return rhs
 
-    def stop(s, th):
-        return gap(s, th) <= params.eps_hit
+    def guard(sigma, rate):
+        def cap(r, th):
+            u = th - (sigma + rate * r)
+            delta = min(u, TWO_PI - u)
+            return max(c_step * delta * delta, 1e-16)
 
-    t, th, hit = _dp54(rhs, 0.0, t_end, th0, params, cap=cap,
-                       breaks=d.breaks_in(0.0, t_end), stop=stop, record=record)[:3]
+        def stop(r, th):
+            u = th - (sigma + rate * r)
+            return min(u, TWO_PI - u) <= eps_hit
+
+        return cap, stop
+
+    t, th, hit, _ = _walk(d, 0.0, t_end, sigma0 + u0, field, params, guard, record)
     return hit, t, th
 
 
@@ -394,9 +425,7 @@ def boundary_flow(d: DrivingTerm, theta0: float, t_end: float | None = None,
     Returns (times, angles, hit).  The path is reported in the lifted chart;
     reduce with canonical_angle for circle positions.
     """
-    if t_end is None:
-        t_end = d.T
-    _validate_time(d, t_end)
+    t_end = _validate_time(d, d.T if t_end is None else t_end)
     ts = [0.0]
     ths = [theta0]
 
@@ -428,59 +457,28 @@ def hitting_time(d: DrivingTerm, theta0: float,
     return t, side
 
 
-def _born_flow(d: DrivingTerm, birth: float, end: float, field, params: FlowParams):
-    """Integrate a chart y from y = 0 at the singularity at time birth to time end.
+def _angle_field(sigma: float, rate: float):
+    """Angle flow in reversed time r, in the chart v = (theta - sigma)^2.
 
-    field(slope) is the right-hand side dy/dr, with r = |s - birth|, on a
-    driver cell where sigma has that slope; it must be finite at y = 0.
-    Time runs forward when end > birth and backward otherwise; either way
-    each driver cell is one _dp54 run, which starts from the step size the
-    previous cell ended with.  Every flow born at the singularity grows like
-    2 sqrt(r), so the birth cell runs in rho = sqrt(r), where it is smooth.
-    Returns (y, err), err summing the embedded error estimates of all steps.
-    """
-    if end > birth:
-        nodes = [birth] + d.breaks_in(birth, end) + [end]
-        cell, step = bisect.bisect_right(d._g, birth) - 1, 1
-    else:
-        nodes = [birth] + d.breaks_in(end, birth)[::-1] + [end]
-        cell, step = bisect.bisect_left(d._g, birth) - 1, -1
-    y, h, err = 0.0, None, 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        rhs = field(d._slope[cell])
-        cell += step
-        span = abs(b - a)
-        if a == birth:   # r = rho^2, so dy/drho = 2 rho dy/dr
-            rho = math.sqrt(span)
-            _, y, _, h, e = _dp54(lambda x, z: 2.0 * x * rhs(x * x, z), 0.0, rho, y, params)
-            h *= 2.0 * rho   # the next rho step, as a step in r
-        else:
-            _, y, _, h, e = _dp54(rhs, 0.0, span, y, params, h=h)
-        err += e
-    return y, err
-
-
-def _angle_field(slope: float):
-    """Angle flow in reversed time, in the chart v = (theta - sigma)^2.
-
-    dv/dr = 2 w cot(w/2) + 2 w slope with w = sqrt(v), finite at v = 0
-    because w cot(w/2) -> 2; slope carries the side's sign.
+    dv/dr = 2 w cot(w/2) - 2 w rate with w = sqrt(v) and rate = dsigma/dr,
+    finite at v = 0 because w cot(w/2) -> 2; rate carries the side's sign.
+    The chart moves with sigma, so the field does not depend on it.
     """
     def rhs(r, v):
         if v <= 0.0:
             return 4.0
         w = math.sqrt(v)
-        return 2.0 * w * (1.0 / math.tan(0.5 * w) + slope)
+        return 2.0 * w * (1.0 / math.tan(0.5 * w) - rate)
 
     return rhs
 
 
-def _tip_field(slope: float):
+def _tip_field(sigma: float, slope: float):
     """Upward flow from the singularity, in the chart q = (1 - g / xi(s))^2.
 
     With p = sqrt(q) = 1 - g / xi(s), dq/ds = 2 (1 - p) (2 - p + i slope p),
     finite at q = 0.  The flow stays inside the disk, so Re p > 0 and the
-    principal square root is the right branch.
+    principal square root is the right branch; the chart turns with xi(s).
     """
     def rhs(r, q):
         p = cmath.sqrt(q)
@@ -496,7 +494,8 @@ def _absorbed_angle(d: DrivingTerm, t: float, sign: float, params: FlowParams) -
     s = 0, in the chart v = u^2 of u = theta - sigma.  Returns sign * sqrt(v)
     at s = 0, where sigma(0) = 0.
     """
-    v, _ = _born_flow(d, t, 0.0, lambda slope: _angle_field(sign * slope), params)
+    v = _walk(d, t, 0.0, 0.0, lambda sigma, rate: _angle_field(sigma, sign * rate), params,
+              born=True)[1]
     return sign * math.sqrt(v)
 
 
@@ -542,7 +541,7 @@ def trace_point(d: DrivingTerm, t: float,
     """
     if not 0.0 < t <= d.T:
         raise ValidationError("trace time must lie in (0, T]")
-    q, err = _born_flow(d, d.T - t, d.T, _tip_field, params)
+    _, q, _, err = _walk(d, d.T - t, d.T, 0.0, _tip_field, params, born=True)
     p = cmath.sqrt(q)
     residual = err / (2.0 * abs(p))
     if residual > residual_tol:

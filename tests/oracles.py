@@ -243,40 +243,34 @@ DP_E = (  # b5 - b4, for the embedded error estimate
 )
 
 
-def reference_dp54(f, t0, t1, y0, params, cap=None, breaks=None, stop=None,
-                   record=None, h=None):
+def reference_dp54(f, t0, t1, y0, params, cap=None, stop=None, record=None, h=None,
+                   steps=0, clock=None):
     """The library's adaptive DP5(4) stepper as a generic tableau loop.
 
-    Same arguments and (t, y, stopped, h, err) result as loewner._dp54; kept
-    as the loop it was written as, so a rewritten stepper can be checked
-    against it for bit-identical output.
+    Same arguments and (t, y, stopped, h, err, steps) result as
+    loewner._dp54; kept as the loop it was written as, so a rewritten stepper
+    can be checked against it for bit-identical output.
     """
     span = t1 - t0
     if span <= 0.0:
-        return t0, y0, False, h, 0.0
+        return t0, y0, False, h, 0.0, steps
     t, y = t0, y0
-    brk = list(breaks) if breaks else []
-    ib = 0
     h_min = 1e-15 * max(1.0, abs(span))
     k1 = f(t, y)
     if h is None:
         h = min(span / 16.0, 0.1)
     err_sum = 0.0
-    if cap is not None:
-        h = min(h, cap(t, y))
-    nsteps = 0
+    at = (lambda s: s) if clock is None else clock
     while t < t1 - 1e-14 * max(1.0, t1):
-        if nsteps >= params.max_steps:
-            raise IntegrationError(f"step budget {params.max_steps} exhausted at t={t:.6g}")
-        while ib < len(brk) and brk[ib] <= t + 1e-14 * max(1.0, abs(t)):
-            ib += 1
-        limit = brk[ib] - t if ib < len(brk) else t1 - t
+        if steps >= params.max_steps:
+            raise IntegrationError(f"step budget {params.max_steps} exhausted at t={at(t):.6g}")
+        limit = t1 - t
         h_max = limit
         if cap is not None:
             h_max = min(h_max, cap(t, y))
         if h_max < h_min:
             raise DiagnosticsError(
-                f"step collapsed below {h_min:.3g} at t={t:.6g}; driver too rough")
+                f"step collapsed below {h_min:.3g} at t={at(t):.6g}; driver too rough")
         h = min(h, h_max)
         snap = h >= limit - 1e-14 * max(1.0, limit)
         if snap:
@@ -300,22 +294,22 @@ def reference_dp54(f, t0, t1, y0, params, cap=None, breaks=None, stop=None,
                 err += DP_E[j] * k[j]
         err = abs(h * err)
         tol = params.atol + params.rtol * max(abs(y), abs(y5))
-        nsteps += 1
+        steps += 1
         if err <= tol:
-            t = brk[ib] if (snap and ib < len(brk)) else (t1 if snap else t + h)
+            t = t1 if snap else t + h
             y = y5
             k1 = k[6]  # FSAL
             err_sum += err
             if record is not None:
                 record(t, y)
             if stop is not None and stop(t, y):
-                return t, y, True, h, err_sum
+                return t, y, True, h, err_sum, steps
             factor = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
             h = h * factor
         else:
             h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
             k1 = k[0]
-    return t, y, False, h, err_sum
+    return t, y, False, h, err_sum, steps
 
 
 # ------------------------------------------------------------- random drivers

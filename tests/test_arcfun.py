@@ -28,23 +28,6 @@ def test_arc_function_interpolates_and_clamps():
     assert abs(f.eval_angle(0.5) - 1.0) < 1e-15
 
 
-def test_arc_function_on_circle_periodic():
-    th = np.array([0.0, math.pi / 2, math.pi, -math.pi / 2])
-    f = ArcFunction.on_circle(th, np.cos(th))
-    # linear interpolation between the four nodes; periodic wrap at 2 pi
-    assert abs(f.eval_angle(0.0) - 1.0) < 1e-15
-    assert abs(f.eval_angle(2.0 * math.pi) - 1.0) < 1e-15
-    mid = f.eval_angle(-math.pi / 4)
-    assert abs(mid - 0.5) < 1e-12                        # between 0 and 1
-
-
-def test_arc_function_offset_wrap_start():
-    f = ArcFunction.on_circle([0.5, 2.0, 4.0], [1.0, 2.0, 3.0])
-    # below the first node the wrap interpolates toward the first value
-    v = f.eval_angle(0.4)
-    assert 1.0 < v < 3.0
-
-
 def test_homeomorphism_orientation_detection():
     a = arc(0.0, 1.0)
     up = ArcHomeomorphism(a, a, [0.0, 0.5, 1.0], [0.0, 0.6, 1.0])

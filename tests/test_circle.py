@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from slitweld.circle import (CirclePoint, MobiusCircleMap, OrientedArc, arc,
-                             canonical_angle, conjugate_point,
-                             mobius_eval, mobius_from_triple)
+                             canonical_angle, mobius_from_triple)
 from slitweld.errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -53,10 +52,6 @@ def test_arc_offsets_and_membership():
     assert abs(a.at_offset(0.75).angle - 0.25) < 1e-12
 
 
-def test_conjugate_point():
-    assert abs(conjugate_point(CirclePoint(0.7)).angle + 0.7) < 1e-15
-
-
 def test_mobius_rejects_outside_pole():
     with pytest.raises(ValidationError):
         MobiusCircleMap(0.0, 1.2 + 0j)
@@ -71,14 +66,6 @@ def test_mobius_preserves_circle_and_inverts():
     z = 0.4 + 0.1j
     assert abs(mi(m(z)) - z) < 1e-12
     assert abs(m(mi(z)) - z) < 1e-12
-
-
-def test_mobius_compose_matches_pointwise():
-    m1 = MobiusCircleMap(0.4, 0.25 + 0.1j)
-    m2 = MobiusCircleMap(-1.1, -0.3 + 0.45j)
-    m = m1.compose(m2)
-    for z in (0.0, 0.5j, -0.6 + 0.2j, cmath.exp(0.9j)):
-        assert abs(m(z) - m1(m2(z))) < 1e-12
 
 
 def test_mobius_deriv_abs_matches_difference_quotient():
@@ -112,10 +99,3 @@ def test_mobius_from_triple_identity():
     trip = (CirclePoint(-0.4), CirclePoint(0.2), CirclePoint(1.1))
     m = mobius_from_triple(trip, trip)
     assert abs(m.pole) < 1e-12 and abs(m.rotation) < 1e-12
-
-
-def test_mobius_eval_returns_point_and_derivative():
-    m = MobiusCircleMap(0.0, 0.3 + 0j)
-    p, dm = mobius_eval(m, CirclePoint(0.0))
-    assert abs(p.angle) < 1e-12
-    assert abs(dm - (1.0 - 0.09) / (1.0 - 0.3) ** 2) < 1e-12

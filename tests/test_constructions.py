@@ -85,8 +85,6 @@ def test_smooth_piecewise_map_evaluates():
     th = np.linspace(-3.0, 3.0, 25)
     assert np.max(np.abs(psi.apply_angle(th) - (th + 0.3 * np.sin(th)))) < 1e-12
     assert np.max(np.abs(psi.log_deriv_angle(th) - np.log(1.0 + 0.3 * np.cos(th)))) < 1e-12
-    gr, vals = psi.sample(16)
-    assert gr.shape == (16,) and vals.shape == (16,)
 
 
 def test_build_psi_radial_is_identity():

@@ -5,7 +5,9 @@ driver (from the boundary angle equation and the slit capacity formula) and
 an independent scipy integrator for everything path-dependent.
 """
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import oracles
 from slitweld.errors import (
     HitSingularityError,
+    IntegrationError,
     TraceError,
     ValidationError,
 )
@@ -21,6 +24,7 @@ from slitweld.loewner import (
     DEFAULT_FLOW_PARAMS,
     PRECISE_FLOW_PARAMS,
     DrivingTerm,
+    FlowParams,
     boundary_flow,
     downward_flow,
     hitting_profile,
@@ -57,17 +61,12 @@ def test_driver_sampling_and_grading():
     assert d.sigma_at(d.grid[3]) == pytest.approx(d.sigma[3], abs=1e-15)
     assert d.sigma_at(-1.0) == 0.0
     assert d.sigma_at(5.0) == d.sigma[-1]
-    t = np.linspace(0.0, 2.0, 17)
-    scalar = np.array([d.sigma_at(tk) for tk in t])
-    assert np.max(np.abs(d.sigma_at_array(t) - scalar)) < 1e-14
 
 
 def test_driver_breaks_in():
     d = DrivingTerm([0.0, 0.25, 0.7, 1.0], [0.0, 0.2, -0.1, 0.3])
     assert d.breaks_in(0.0, 1.0) == [0.25, 0.7]
     assert d.breaks_in(0.3, 0.7) == []
-    # reversed time: kinks of sigma(T - s) sit at s = T - node
-    assert d.breaks_in(0.0, 1.0, reversed_time=True) == pytest.approx([0.3, 0.75])
 
 
 def test_driver_breaks_in_matches_node_scan(d_sqrt, rng):
@@ -78,7 +77,6 @@ def test_driver_breaks_in_matches_node_scan(d_sqrt, rng):
     ends += [(rev[i], rev[j]) for i in range(0, 257, 16) for j in range(i, 257, 16)]
     for t0, t1 in ends:
         assert d_sqrt.breaks_in(t0, t1) == [p for p in g if t0 < p < t1]
-        assert d_sqrt.breaks_in(t0, t1, reversed_time=True) == [p for p in rev if t0 < p < t1]
 
 def test_upward_flow_fixes_origin_and_contracts(d_sqrt):
     assert upward_flow(d_sqrt, 0j, d_sqrt.T) == 0j
@@ -91,6 +89,9 @@ def test_upward_flow_fixes_origin_and_contracts(d_sqrt):
         upward_flow(d_sqrt, 1.0 + 0j, 0.5)
     with pytest.raises(ValidationError):
         upward_flow(d_sqrt, 0.5 + 0j, d_sqrt.T + 1.0)
+    # a time past the horizon by rounding runs to the horizon
+    for flow in (upward_flow, downward_flow):
+        assert flow(d_sqrt, 0.5 + 0.3j, d_sqrt.T + 1e-13) == flow(d_sqrt, 0.5 + 0.3j, d_sqrt.T)
 
 
 def test_upward_flow_matches_reference_integrator(d_sqrt):
@@ -121,6 +122,7 @@ def test_boundary_flow_matches_reference_integrator(d_sqrt):
     ts, ths, hit = boundary_flow(d_sqrt, 3.0, d_sqrt.T, PRECISE_FLOW_PARAMS)
     assert not hit
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(d_sqrt.T, abs=1e-12)
+    assert np.all(np.diff(ts) > 0.0)        # the flow's own times, across cells
     ref = oracles.scipy_boundary_angle(d_sqrt.sigma_at, 3.0, d_sqrt.T)
     assert abs(ths[-1] - ref) < 1e-6
 
@@ -232,52 +234,91 @@ def test_dp54_bit_identical_to_generic_loop(d_sqrt):
         return got
 
     # the angle field in the rho chart of its birth cell
-    angle = loewner._angle_field(slope)
+    angle = loewner._angle_field(0.0, slope)
     rho = math.sqrt(0.01)
     both(lambda x, z: 2.0 * x * angle(x * x, z), 0.0, rho, 0.0)
 
     # the complex tip field, on a second cell from the carried step size
-    tip = loewner._tip_field(slope)
-    _, q, _, h, _ = both(lambda x, z: 2.0 * x * tip(x * x, z), 0.0, rho, 0.0)
-    both(loewner._tip_field(d_sqrt._slope[4]), 0.0, 0.02, q, h=h * 2.0 * rho)
+    tip = loewner._tip_field(0.0, slope)
+    _, q, _, h, _, steps = both(lambda x, z: 2.0 * x * tip(x * x, z), 0.0, rho, 0.0)
+    both(loewner._tip_field(0.0, d_sqrt._slope[4]), 0.0, 0.02, q, h=h * 2.0 * rho,
+         steps=steps)
 
-    # an upward flow, with its step cap and the driver kinks as breaks
-    def rhs(s, y):
-        xi = d_sqrt.xi_at(s)
+    # an upward flow on one driver cell, with its step cap and a carried step
+    i = 100
+    sigma, rate = d_sqrt._s[i], d_sqrt._slope[i]
+    span = d_sqrt._g[i + 1] - d_sqrt._g[i]
+
+    def rhs(r, y):
+        xi = cmath.exp(1j * (sigma + rate * r))
         return -y * (xi + y) / (xi - y)
 
-    def cap(s, y):
-        delta = abs(d_sqrt.xi_at(s) - y)
+    def cap(r, y):
+        delta = abs(cmath.exp(1j * (sigma + rate * r)) - y)
         return max(params.c_step * delta * delta, 1e-14)
 
-    both(rhs, 0.0, 0.7, 0.6 + 0.3j, cap=cap, breaks=d_sqrt.breaks_in(0.0, 0.7))
+    both(rhs, 0.0, span, 0.6 + 0.3j, cap=cap, h=span / 3.0)
 
-    # a boundary run that rejects steps, records every accepted one and stops
+    # a boundary run on one cell that rejects steps, records every accepted
+    # one and stops at the singularity
+    i = 200
+    sigma, rate = d_sqrt._s[i], d_sqrt._slope[i]
+    span = d_sqrt._g[i + 1] - d_sqrt._g[i]
     calls = [0]
-    boundary = loewner._boundary_rhs(d_sqrt)
 
-    def counted(s, th):
+    def boundary(r, th):
         calls[0] += 1
-        return boundary(s, th)
+        return 1.0 / math.tan(0.5 * (sigma + rate * r - th))
 
-    def gap(s, th):
-        u = th - d_sqrt.sigma_at(s)
+    def gap(r, th):
+        u = th - (sigma + rate * r)
         return min(u, 2.0 * math.pi - u)
 
     runs = []
     for run in (loewner._dp54, oracles.reference_dp54):
         calls[0] = 0
         rec = []
-        out = run(counted, 0.0, d_sqrt.T, 0.5, params,
-                  cap=lambda s, th: max(params.c_step * gap(s, th) ** 2, 1e-16),
-                  breaks=d_sqrt.breaks_in(0.0, d_sqrt.T),
-                  stop=lambda s, th: gap(s, th) <= params.eps_hit,
-                  record=lambda s, th: rec.append((s, th)))
+        out = run(boundary, 0.0, span, sigma + 0.1, params,
+                  cap=lambda r, th: max(params.c_step * gap(r, th) ** 2, 1e-16),
+                  stop=lambda r, th: gap(r, th) <= params.eps_hit,
+                  record=lambda r, th: rec.append((r, th)), h=1e-3)
         runs.append((out, rec, calls[0]))
     assert runs[0] == runs[1]
-    (_, _, stopped, _, _), rec, n_evals = runs[0]
-    assert stopped
+    (t, _, stopped, _, _, _), rec, n_evals = runs[0]
+    assert stopped and t < span
     assert n_evals > 1 + 6 * len(rec)      # at least one step was rejected
+
+
+def test_interior_flows_make_no_driver_lookup(d_sqrt, monkeypatch):
+    # every flow reads sigma from its driver cell's node value and slope
+    calls = [0]
+    sigma_at = DrivingTerm.sigma_at
+
+    def counted(self, t):
+        calls[0] += 1
+        return sigma_at(self, t)
+
+    monkeypatch.setattr(DrivingTerm, "sigma_at", counted)
+    w = upward_flow(d_sqrt, 0.4 + 0.2j, d_sqrt.T)
+    downward_flow(d_sqrt, w, d_sqrt.T)
+    upward_flow(d_sqrt, -0.3 + 0.5j, 0.37)
+    downward_flow(d_sqrt, 0.1 - 0.2j, 0.61)
+    assert calls[0] == 0
+
+
+def test_step_budget_is_per_flow(d_sqrt):
+    # one budget for the whole flow, not one per driver cell: the plus-angle
+    # flow at T takes about 313 steps over 256 cells, so 50 cannot carry it
+    tight = FlowParams(max_steps=50)
+    cell = max(np.diff(d_sqrt.grid))
+    for run in (lambda p: loewner._absorbed_angle(d_sqrt, d_sqrt.T, 1.0, p),
+                lambda p: upward_flow(d_sqrt, 0.5 + 0.3j, d_sqrt.T, p)):
+        with pytest.raises(IntegrationError) as info:
+            run(tight)
+        # the message reports the flow's time, beyond the longest single cell
+        t = float(re.search(r"at t=(\S+)$", str(info.value)).group(1))
+        assert cell < t < d_sqrt.T
+        run(DEFAULT_FLOW_PARAMS)
 
 
 def test_born_flow_work_does_not_grow(d_sqrt, monkeypatch):
@@ -288,8 +329,8 @@ def test_born_flow_work_does_not_grow(d_sqrt, monkeypatch):
     calls = [0]
 
     def counting(make_field):
-        def field(slope):
-            rhs = make_field(slope)
+        def field(sigma, slope):
+            rhs = make_field(sigma, slope)
 
             def counted(r, y):
                 calls[0] += 1
