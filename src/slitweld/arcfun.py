@@ -7,11 +7,11 @@ a wrapped arc stay monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, CirclePoint, OrientedArc
+from .circle import TWO_PI, OrientedArc
 from .errors import ValidationError
 
 __all__ = ["ArcFunction", "ArcHomeomorphism"]
@@ -90,11 +90,6 @@ class ArcHomeomorphism:
     @property
     def orientation(self) -> int:
         return self._orientation
-
-    @classmethod
-    def identity_on(cls, a: OrientedArc, n: int = 2) -> "ArcHomeomorphism":
-        s = np.linspace(0.0, a.length, max(2, n))
-        return cls(a, a, s, s.copy())
 
     def eval_offset(self, s):
         return np.interp(np.asarray(s, dtype=float), self.offsets, self.images)

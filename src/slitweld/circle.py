@@ -48,12 +48,6 @@ class CirclePoint:
             raise ValidationError("circle point angle must be finite")
         object.__setattr__(self, "angle", canonical_angle(self.angle))
 
-    @classmethod
-    def from_complex(cls, z: complex) -> CirclePoint:
-        if abs(z) == 0.0:
-            raise ValidationError("cannot project 0 to the circle")
-        return cls(math.atan2(z.imag, z.real))
-
     @property
     def z(self) -> complex:
         return cmath.exp(1j * self.angle)
@@ -76,28 +70,6 @@ class OrientedArc:
         if gap < 0.0:
             gap += TWO_PI
         return gap
-
-    def offset_of(self, p: CirclePoint, tol: float = 1e-12) -> float:
-        """Angular offset of p from start along the arc; raises if p is outside."""
-        gap = math.fmod(p.angle - self.start.angle, TWO_PI)
-        if gap < 0.0:
-            gap += TWO_PI
-        if gap <= self.length + tol:
-            return min(gap, self.length)
-        if gap >= TWO_PI - tol:
-            return 0.0
-        raise ValidationError(f"point at angle {p.angle:.6g} lies outside the arc")
-
-    def at_offset(self, s: float) -> CirclePoint:
-        return CirclePoint(self.start.angle + s)
-
-    def contains(self, p: CirclePoint, tol: float = 1e-12) -> bool:
-        """Closed-arc membership with angular tolerance at the endpoints."""
-        try:
-            self.offset_of(p, tol)
-            return True
-        except ValidationError:
-            return False
 
 
 def arc(start_angle: float, end_angle: float) -> OrientedArc:
@@ -124,10 +96,6 @@ class MobiusCircleMap:
             raise ValidationError("Mobius pole must lie strictly inside the disk")
         object.__setattr__(self, "rotation", canonical_angle(self.rotation))
         object.__setattr__(self, "pole", complex(self.pole))
-
-    @classmethod
-    def identity(cls) -> MobiusCircleMap:
-        return cls(0.0, 0j)
 
     def __call__(self, z):
         """Evaluate at a complex point or numpy array of points."""

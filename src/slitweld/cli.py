@@ -24,8 +24,8 @@ from .constructions import (BeltramiField, build_capital_psi, compose_f, lemma_q
                             welding_construction)
 from .errors import (AccuracyError, ExtractionError, IntegrationError, SlitWeldError,
                      ValidationError)
-from .loewner import (DrivingTerm, boundary_flow, hitting_profile, trace_curve,
-                      upward_flow)
+from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, boundary_flow, hitting_profile,
+                      trace_curve, upward_flow)
 from .regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
                          loewner_energy, lip_half_norm, mr_constant, qs_constant,
                          vmo_curve, wp_cross_condition)
@@ -115,6 +115,21 @@ class RunConfig:
         }
 
 
+def _load_flow_driver(path: str) -> DrivingTerm:
+    """A driver for a stage that runs full-horizon flows.
+
+    Every flow takes at least one step per driver cell, and all its steps
+    share one budget of DEFAULT_FLOW_PARAMS.max_steps, so on a driver with
+    more cells every such flow would fail; it is rejected before any runs.
+    """
+    d = load_driver(path)
+    cells, budget = d.grid.size - 1, DEFAULT_FLOW_PARAMS.max_steps
+    if cells > budget:
+        raise ValidationError(f"driver has {cells} cells, more than the {budget} steps "
+                              "a flow may take; every flow would fail")
+    return d
+
+
 def _cmd_trace(args, outputs: list) -> int:
     RunConfig(
         "trace",
@@ -122,7 +137,7 @@ def _cmd_trace(args, outputs: list) -> int:
         outputs=tuple(p for p in (args.out, args.profile_out) if p),
         counts={"trace_count": args.count, "profile_samples": args.profile_samples},
     )
-    d = load_driver(args.driver)
+    d = _load_flow_driver(args.driver)
     outputs.append(args.out)
     samples = trace_curve(d, args.count)
     save_trace_csv(args.out, [s.t for s in samples], [s.tip for s in samples],
@@ -145,7 +160,7 @@ def _cmd_weld(args, outputs: list) -> int:
         outputs=(args.out,),
         counts={"welding_samples": args.samples},
     )
-    d = load_driver(args.driver)
+    d = _load_flow_driver(args.driver)
     outputs.append(args.out)
     w = extract_welding(d, args.samples)
     save_welding_csv(args.out, w)
@@ -245,7 +260,7 @@ def _cmd_construct(args, outputs: list) -> int:
         tolerances={"quad_agree": args.agree_tol},
     )
     w = load_welding_csv(args.welding)
-    d = load_driver(args.driver) if args.driver else None
+    d = _load_flow_driver(args.driver) if args.driver else None
     outputs.append(args.out)
 
     built = welding_construction(w)
@@ -298,7 +313,7 @@ def _cmd_construct(args, outputs: list) -> int:
     composite = None
     if d is not None:
         res = pair_residuals(d, w, count=args.residual_count)
-        f = compose_f(d, w)
+        f = compose_f(d, built)
         composite = {
             "f0_abs": abs(complex(f(0.0))),
             "pair_residual_max": float(np.max(res)),

@@ -1,10 +1,12 @@
 """Explicit boundary homeomorphisms and disk maps for the welding pipeline.
 
-Builds, from the boundary normalizer tau of welding.build_tau, the piecewise
-circle extension psi of a welding with its six-term energy decomposition,
-reflection extensions, the closed-form slit-disk map h, the sector-shear map
-q with exact Beltrami data, Poincare-weighted dilatation integrals, and the
-composite interior map.
+welding_construction builds, once per welding, the chain that describes the
+slit through its welding: the boundary normalizer tau of welding.build_tau,
+the piecewise circle extension psi, its harmonic interior extension, the
+sector-shear map q with exact Beltrami data and the closed-form slit-disk map
+h.  compose_f appends the horizon flow to that chain.  The module also holds
+the six-term energy decomposition of psi, the reflection extensions and
+Poincare-weighted dilatation integrals.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .arcfun import ArcHomeomorphism
-from .circle import TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, arc
+from .circle import TWO_PI, CirclePoint, OrientedArc, arc, canonical_angle
 from .errors import AccuracyError, IntegrationError, ValidationError
 from .loewner import DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, upward_flow
 from .regularity import h_half_seminorm_detail
@@ -50,12 +52,7 @@ def _canon(a):
 
 
 def _circle_dist(a: float, b: float) -> float:
-    d = math.fmod(a - b, TWO_PI)
-    if d > math.pi:
-        d -= TWO_PI
-    elif d < -math.pi:
-        d += TWO_PI
-    return abs(d)
+    return abs(canonical_angle(a - b))
 
 
 @dataclass
@@ -75,8 +72,7 @@ class PiecewiseCircleMap:
     agree at every junction and the assembled map to be globally monotone.
     """
 
-    def __init__(self, pieces: list[CirclePiece], junction_tol: float = 1e-9,
-                 monotone_samples: int = 360):
+    def __init__(self, pieces: list[CirclePiece]):
         if not pieces:
             raise ValidationError("need at least one piece")
         total = sum(p.arc.length for p in pieces)
@@ -89,47 +85,41 @@ class PiecewiseCircleMap:
             end = p.arc.end.angle
             v1 = float(np.asarray(p.angle_map(np.array([end]))).ravel()[0])
             v2 = float(np.asarray(p_next.angle_map(np.array([end]))).ravel()[0])
-            if _circle_dist(v1, v2) > junction_tol:
+            if _circle_dist(v1, v2) > 1e-9:
                 raise ValidationError(
                     f"pieces disagree at junction angle {end:.6f}: {v1:.12f} vs {v2:.12f}")
         self.pieces = list(pieces)
         self._starts = np.array([p.arc.start.angle for p in pieces])
         self._lengths = np.array([p.arc.length for p in pieces])
-        if monotone_samples:
-            th = np.linspace(0.0, TWO_PI, monotone_samples, endpoint=False)
-            lifted = np.unwrap(self.apply_angle(th))
-            if np.any(np.diff(lifted) <= 0.0):
-                raise ValidationError("assembled map is not sense-preserving")
+        th = np.linspace(0.0, TWO_PI, 360, endpoint=False)
+        lifted = np.unwrap(self.apply_angle(th))
+        if np.any(np.diff(lifted) <= 0.0):
+            raise ValidationError("assembled map is not sense-preserving")
 
     def _piece_masks(self, theta: np.ndarray):
         rel = np.mod(theta[None, :] - self._starts[:, None], TWO_PI)
         # closed at both ends so junction angles always land in some piece;
-        # values there agree to junction_tol, so the choice is immaterial
+        # values there agree to 1e-9, so the choice is immaterial
         inside = rel <= self._lengths[:, None] + 1e-12
         return np.argmax(inside, axis=0)
 
-    def apply_angle(self, theta):
+    def _by_piece(self, theta, rules):
+        """Each angle through the rule of the piece that owns it; a float for a scalar."""
+        scalar = np.ndim(theta) == 0
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         owner = self._piece_masks(theta)
         out = np.empty_like(theta)
-        for i, p in enumerate(self.pieces):
+        for i, rule in enumerate(rules):
             sel = owner == i
             if np.any(sel):
-                out[sel] = p.angle_map(theta[sel])
-        return out if out.size > 1 else float(out[0])
+                out[sel] = rule(theta[sel])
+        return float(out[0]) if scalar else out
 
-    def __call__(self, p: CirclePoint) -> CirclePoint:
-        return CirclePoint(self.apply_angle(p.angle))
+    def apply_angle(self, theta):
+        return self._by_piece(theta, [p.angle_map for p in self.pieces])
 
     def log_deriv_angle(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        owner = self._piece_masks(theta)
-        out = np.empty_like(theta)
-        for i, p in enumerate(self.pieces):
-            sel = owner == i
-            if np.any(sel):
-                out[sel] = p.log_deriv(theta[sel])
-        return out if out.size > 1 else float(out[0])
+        return self._by_piece(theta, [p.log_deriv for p in self.pieces])
 
 
 @dataclass
@@ -164,21 +154,15 @@ class BeltramiField:
         return self.mu(z)
 
 
-def build_psi(w: Welding, tau: MobiusCircleMap | None = None) -> PiecewiseCircleMap:
+def build_psi(w: Welding) -> PiecewiseCircleMap:
     """Sense-preserving extension of the conjugated welding to the full circle.
 
+    The welding is conjugated by the endpoint normalizer tau of build_tau.
     Identity on the upper half arc; the conjugated welding (against complex
     conjugation) on the quarter arc before 1; its reflection through z -> -z
     on the quarter arc after -1.
     """
-    if tau is None:
-        tau = build_tau(w.alpha_minus, w.alpha_plus)
-    else:
-        for src, dst in ((_HALF_PI, w.alpha_plus.angle), (-_HALF_PI, w.alpha_minus.angle),
-                         (0.0, 0.0)):
-            if _circle_dist(tau.apply_angle(src), dst) > 1e-6:
-                raise ValidationError("tau does not match the welding endpoints")
-    chi, chi_ld = _conjugated_welding(w, tau)
+    chi, chi_ld = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
 
     def zero(th):
         return np.zeros_like(np.asarray(th, dtype=float))
@@ -226,6 +210,18 @@ def psi_j_decomposition(psi: PiecewiseCircleMap, m: int = 256,
     return out
 
 
+def _check_self_map(h: ArcHomeomorphism, a: OrientedArc, name: str, arc_name: str,
+                    ends: str):
+    """Reject h unless it carries the arc a onto itself and fixes both its endpoints."""
+    for b in (h.domain, h.codomain):
+        if (_circle_dist(b.start.angle, a.start.angle) > 1e-12
+                or abs(b.length - a.length) > 1e-12):
+            raise ValidationError(f"{name} must be a self-map of {arc_name}")
+    for end in (a.start.angle, a.end.angle):
+        if _circle_dist(h.angle_map(end), end) > 1e-9:
+            raise ValidationError(f"{name} must fix the endpoints {ends}")
+
+
 def reflect_half_extension(psi_half: ArcHomeomorphism) -> PiecewiseCircleMap:
     """Extend a self-map of the right half circle by z -> -conj(psi(-conj(z))).
 
@@ -234,13 +230,7 @@ def reflect_half_extension(psi_half: ArcHomeomorphism) -> PiecewiseCircleMap:
     the reflected side.
     """
     right = arc(-_HALF_PI, _HALF_PI)
-    for a in (psi_half.domain, psi_half.codomain):
-        if (_circle_dist(a.start.angle, right.start.angle) > 1e-12
-                or abs(a.length - right.length) > 1e-12):
-            raise ValidationError("psi_half must be a self-map of the right half circle")
-    if (_circle_dist(psi_half.angle_map(-_HALF_PI), -_HALF_PI) > 1e-9
-            or _circle_dist(psi_half.angle_map(_HALF_PI), _HALF_PI) > 1e-9):
-        raise ValidationError("psi_half must fix the endpoints -i and i")
+    _check_self_map(psi_half, right, "psi_half", "the right half circle", "-i and i")
 
     def direct(th):
         return _canon(psi_half.angle_map(np.asarray(th, dtype=float)))
@@ -269,13 +259,7 @@ def build_capital_psi(inner: ArcHomeomorphism) -> PiecewiseCircleMap:
     third.
     """
     quarter = arc(0.0, _HALF_PI)
-    for a in (inner.domain, inner.codomain):
-        if (_circle_dist(a.start.angle, 0.0) > 1e-12
-                or abs(a.length - quarter.length) > 1e-12):
-            raise ValidationError("inner must be a self-map of the arc from 1 to i")
-    if (_circle_dist(inner.angle_map(0.0), 0.0) > 1e-9
-            or _circle_dist(inner.angle_map(_HALF_PI), _HALF_PI) > 1e-9):
-        raise ValidationError("inner must fix the endpoints 1 and i")
+    _check_self_map(inner, quarter, "inner", "the arc from 1 to i", "1 and i")
 
     def ia(th):
         return _canon(inner.angle_map(np.asarray(th, dtype=float)))
@@ -310,7 +294,7 @@ def capital_psi_composite_residual(big_psi: PiecewiseCircleMap,
     """
     inv = inner.inverse()
     th = np.linspace(-_HALF_PI, 0.0, n + 2)[1:-1]
-    img = np.atleast_1d(big_psi.apply_angle(th))
+    img = big_psi.apply_angle(th)
     undone = -_canon(inv.angle_map(-img))
     d = np.abs(_canon(undone - th))
     return float(d.max())
@@ -412,31 +396,19 @@ def lemma_q_map(z0: complex, r: float):
         out_th = np.where(ph <= _HALF_PI, ph / a1, math.pi - (math.pi - ph) / a2)
         return np.abs(v) * np.exp(1j * out_th)
 
-    def q(z):
-        z = np.asarray(z, dtype=complex)
-        inside = np.abs(z) < r
-        out = z.copy() if z.ndim else np.array(z, dtype=complex)
-        if np.any(inside):
-            zi = z[inside] if z.ndim else z
-            moved = T_inv(shear(T(zi)))
-            if z.ndim:
-                out[inside] = moved
-            else:
-                out = moved
-        return out if out.ndim else complex(out)
+    def inside_only(move):
+        """z -> T^-1(move(T(z))) on |z| < r, the identity elsewhere."""
+        def apply(z):
+            z = np.asarray(z, dtype=complex)
+            out = np.atleast_1d(z).copy()
+            inside = np.abs(out) < r
+            if np.any(inside):
+                out[inside] = T_inv(move(T(out[inside])))
+            return out if z.ndim else complex(out[0])
 
-    def q_inv(z):
-        z = np.asarray(z, dtype=complex)
-        inside = np.abs(z) < r
-        out = z.copy() if z.ndim else np.array(z, dtype=complex)
-        if np.any(inside):
-            zi = z[inside] if z.ndim else z
-            moved = T_inv(shear_inv(T(zi)))
-            if z.ndim:
-                out[inside] = moved
-            else:
-                out = moved
-        return out if out.ndim else complex(out)
+        return apply
+
+    q, q_inv = inside_only(shear), inside_only(shear_inv)
 
     def mu(z):
         z = np.asarray(z, dtype=complex)
@@ -460,8 +432,7 @@ def lemma_q_map(z0: complex, r: float):
     return ev, BeltramiField("unit_disk", mu, k, dict(params))
 
 
-def poincare_l2_integral(mu: BeltramiField, domain: str | None = None,
-                         conf: DiskMapEvaluator | None = None,
+def poincare_l2_integral(mu: BeltramiField, conf: DiskMapEvaluator | None = None,
                          n_r: int = 128, agree_tol: float = 0.02,
                          strict: bool = True) -> float:
     """Squared Poincare-weighted L2 mass of a dilatation field.
@@ -471,8 +442,6 @@ def poincare_l2_integral(mu: BeltramiField, domain: str | None = None,
     integral over conf's image domain by conformal invariance.  Two dyadic
     levels must agree within agree_tol.
     """
-    if domain is not None and conf is None and domain != mu.domain:
-        raise ValidationError("domain descriptor does not match the field")
     if conf is not None and conf.domain != "unit_disk":
         raise ValidationError("conf must parametrize from the unit disk")
     if n_r < 8:
@@ -500,15 +469,16 @@ def poincare_l2_integral(mu: BeltramiField, domain: str | None = None,
 class _HarmonicExtension:
     """Interior extension of a circle homeomorphism by its Poisson integral."""
 
-    def __init__(self, psi: PiecewiseCircleMap, samples: int = 2048):
+    def __init__(self, psi: PiecewiseCircleMap):
+        samples = 2048
         th = np.arange(samples) * TWO_PI / samples
-        vals = np.exp(1j * np.asarray(psi.apply_angle(th)))
+        vals = np.exp(1j * psi.apply_angle(th))
         coef = np.fft.fft(vals) / samples
         half = samples // 2
         self._pos = coef[: half + 1]     # z^k terms, k ascending 0 .. half
         self._neg = coef[half + 1:]      # conj(z)^k terms, k descending half-1 .. 1
 
-    def _parts(self, z: complex):
+    def __call__(self, z: complex) -> complex:
         a = 0j
         for cft in self._pos[::-1]:
             a = a * z + cft
@@ -516,12 +486,7 @@ class _HarmonicExtension:
         b = 0j
         for cft in self._neg:
             b = b * zb + cft
-        b *= zb
-        return a, b
-
-    def __call__(self, z: complex) -> complex:
-        a, b = self._parts(z)
-        return a + b
+        return a + b * zb
 
     def _derivs(self, z: complex):
         # dA/dz and dB/dzbar by Horner on the shifted coefficient arrays
@@ -536,14 +501,14 @@ class _HarmonicExtension:
             db = db * zb + k * cft
         return da, db
 
-    def inverse(self, w: complex, z0: complex | None = None,
-                tol: float = 1e-12, max_iter: int = 60) -> complex:
-        z = complex(w) if z0 is None else complex(z0)
+    def inverse(self, w: complex) -> complex:
+        """Newton's method from w itself, kept inside the disk."""
+        z = complex(w)
         if abs(z) > 0.999999:
             z = 0.999999 * z / abs(z)
-        for _ in range(max_iter):
+        for _ in range(60):
             rho = complex(w) - self(z)
-            if abs(rho) < tol:
+            if abs(rho) < 1e-12:
                 return z
             da, db = self._derivs(z)
             den = abs(da) ** 2 - abs(db) ** 2
@@ -564,7 +529,7 @@ def welding_construction(w: Welding) -> dict:
     disk slit at t_slit = (1-c)/(1+c).  compose_f appends the horizon flow.
     """
     tau = build_tau(w.alpha_minus, w.alpha_plus)
-    psi = build_psi(w, tau)
+    psi = build_psi(w)
     ext = _HarmonicExtension(psi)
     u0 = ext.inverse(tau.pole)
     r_q = 0.5 * (1.0 + abs(u0))
@@ -576,25 +541,18 @@ def welding_construction(w: Welding) -> dict:
             "t_slit": t_slit, "c": c}
 
 
-def compose_f(d: DrivingTerm, w: Welding, beta_policy: str | float = "auto",
+def compose_f(d: DrivingTerm, built: dict,
               params: FlowParams = DEFAULT_FLOW_PARAMS) -> DiskMapEvaluator:
     """Map of the reference slit disk onto the complement of the grown slit.
 
-    Chains the inverse slit parametrization, the inverse shear q, the interior
-    extension of psi, the endpoint normalizer tau, and the horizon flow.  With
-    the auto policy the slit parameter beta is the real image of the preimage
-    of tau's zero, which pins f(0) = 0.
+    built is the chain welding_construction returned for the welding of d;
+    it is used as is, not rebuilt.  f chains the inverse slit
+    parametrization h, the inverse shear q, the interior extension of psi,
+    the endpoint normalizer tau and the horizon flow of d.  The slit
+    parameter beta is the real image under q of the preimage of tau's zero,
+    which pins f(0) = 0.
     """
-    built = welding_construction(w)
-    tau, ext, q_ev = built["tau"], built["ext"], built["q"]
-    if beta_policy == "auto":
-        beta = built["beta"]
-        h_ev, t_slit, c = built["h"], built["t_slit"], built["c"]
-    elif isinstance(beta_policy, (int, float)):
-        beta = float(beta_policy)
-        h_ev, t_slit, c = slit_map_h(beta)
-    else:
-        raise ValidationError("beta_policy must be 'auto' or a real number")
+    tau, ext, q_ev, h_ev = built["tau"], built["ext"], built["q"], built["h"]
 
     def f(x):
         z = h_ev.inverse(complex(x))
@@ -603,9 +561,6 @@ def compose_f(d: DrivingTerm, w: Welding, beta_policy: str | float = "auto",
         z = tau(z)
         return upward_flow(d, z, d.T, params)
 
-    pars = {
-        "beta": beta, "t_slit": t_slit, "c": c,
-        "r_q": built["r_q"], "u0": built["u0"], "T": d.T,
-        "alpha_plus": w.alpha_plus.angle, "alpha_minus": w.alpha_minus.angle,
-    }
+    pars = {key: built[key] for key in ("beta", "t_slit", "c", "r_q", "u0")}
+    pars["T"] = d.T
     return DiskMapEvaluator("slit_disk", "slit_complement", f, None, None, pars)

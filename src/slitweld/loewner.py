@@ -86,13 +86,13 @@ class DrivingTerm:
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(sigma))):
             raise ValidationError("driver samples must be finite")
         if grid[0] != 0.0:
-            raise ValidationError("driver grid must start at 0")
+            raise ValidationError("driver grid index 0 must be 0")
         if sigma[0] != 0.0:
-            raise ValidationError("driver must satisfy sigma(0) = 0")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValidationError("driver grid must be strictly increasing")
-        if grid[-1] <= 0.0:
-            raise ValidationError("driver horizon T must be positive")
+            raise ValidationError("driver sigma index 0 must be 0: we assume xi(0) = 1, so "
+                                  "the driving angle starts at 0")
+        bad = np.flatnonzero(np.diff(grid) <= 0.0)
+        if bad.size:
+            raise ValidationError(f"driver grid is not strictly increasing at index {bad[0] + 1}")
         self.grid = grid
         self.sigma = sigma
         self.T = float(grid[-1])
@@ -100,13 +100,6 @@ class DrivingTerm:
         self._g = grid.tolist()
         self._s = sigma.tolist()
         self._slope = (np.diff(sigma) / np.diff(grid)).tolist()
-
-    @classmethod
-    def constant(cls, T: float) -> "DrivingTerm":
-        """The zero driver: singularity fixed at angle 0, radial slit."""
-        if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0.0):
-            raise ValidationError("horizon T must be a positive finite number")
-        return cls([0.0, float(T)], [0.0, 0.0])
 
     @classmethod
     def from_function(cls, f, T: float, n: int, power: float = 1.0) -> "DrivingTerm":
@@ -147,7 +140,6 @@ class HittingProfile:
     side: str                 # "plus" or "minus"
     angles: np.ndarray        # starting angles, signed, strictly away from 0
     times: np.ndarray         # hitting times tau(angle)
-    alpha: float              # endpoint estimate of the preimage arc on this side
 
 
 @dataclass(frozen=True)
@@ -526,7 +518,7 @@ def hitting_profile(d: DrivingTerm, n: int = 32,
         angles = np.array([_absorbed_angle(d, float(t), sign, params) for t in times])
         if np.any(np.diff(sign * angles) <= 0.0):
             raise DiagnosticsError(f"hitting angles not strictly monotone on the {side} side")
-        profiles.append(HittingProfile(side, angles, times, float(angles[-1])))
+        profiles.append(HittingProfile(side, angles, times))
     return tuple(profiles)
 
 

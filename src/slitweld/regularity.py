@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .arcfun import ArcFunction, ArcHomeomorphism
-from .circle import TWO_PI, MobiusCircleMap, OrientedArc, arc
+from .circle import TWO_PI, OrientedArc, arc
 from .errors import AccuracyError, ValidationError
 from .loewner import DrivingTerm
 from .welding import Welding, _conjugated_welding, build_tau
@@ -160,8 +160,7 @@ def h_half_seminorm(u, I: OrientedArc | None = None, J: OrientedArc | None = Non
     return d["value"]
 
 
-def wp_cross_condition(w: Welding, tau: MobiusCircleMap | None = None,
-                       m: int = 256, include_alpha_cells: bool = False,
+def wp_cross_condition(w: Welding, m: int = 256, include_alpha_cells: bool = False,
                        agree_tol: float = 0.02, strict: bool = False) -> dict:
     """Cross energy of log |(tau^-1 phi tau)'| between its domain and image arcs.
 
@@ -172,9 +171,7 @@ def wp_cross_condition(w: Welding, tau: MobiusCircleMap | None = None,
     to i and -i rest on one-sided derivative data and are excluded unless
     include_alpha_cells is set; their contribution is reported separately.
     """
-    if tau is None:
-        tau = build_tau(w.alpha_minus, w.alpha_plus)
-    _, log_chi_deriv = _conjugated_welding(w, tau)
+    _, log_chi_deriv = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
     A1 = arc(0.0, 0.5 * math.pi)
     A2 = arc(-0.5 * math.pi, 0.0)
     alpha_masses = []   # the cells within one base-level cell of i or of -i

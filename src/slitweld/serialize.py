@@ -113,23 +113,15 @@ def load_driver(path: str) -> DrivingTerm:
     if "T" not in data or isinstance(data["T"], bool) or not isinstance(data["T"], (int, float)):
         raise ValidationError("driver field 'T' must be a number")
     T = float(data["T"])
+    if not math.isfinite(T):
+        raise ValidationError("driver field 'T' must be finite")
     if len(grid) != len(sigma):
         raise ValidationError(
             f"driver fields 'grid' ({len(grid)}) and 'sigma' ({len(sigma)}) differ in length")
-    if len(grid) < 2:
-        raise ValidationError("driver needs at least two grid nodes")
-    if grid[0] != 0.0:
-        raise ValidationError("driver field 'grid' index 0 must be 0")
-    for i in range(1, len(grid)):
-        if grid[i] <= grid[i - 1]:
-            raise ValidationError(f"driver grid is not strictly increasing at index {i}")
-    if sigma[0] != 0.0:
-        raise ValidationError(
-            "driver field 'sigma' index 0 must be 0: we assume xi(0) = 1, so the "
-            "driving angle starts at 0")
-    if abs(T - grid[-1]) > 1e-12 * max(1.0, abs(T)):
+    d = DrivingTerm(grid, sigma)
+    if abs(T - d.T) > 1e-12 * max(1.0, abs(T)):
         raise ValidationError("driver field 'T' must equal the final grid node")
-    return DrivingTerm(grid, sigma)
+    return d
 
 
 def save_welding_csv(path: str, w: Welding):
@@ -156,6 +148,8 @@ def load_welding_csv(path: str) -> Welding:
             rows.append(tuple(float(p) for p in parts))
         except ValueError as exc:
             raise ValidationError(f"welding file line {i} has a non-numeric entry") from exc
+    if not rows:
+        raise ValidationError("welding file has a header but no data rows")
     arr = np.array(rows)
     return Welding(arr[:, 0], arr[:, 1], arr[:, 2])
 

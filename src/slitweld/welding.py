@@ -87,10 +87,6 @@ class Welding:
         """Minus-side preimage arc, from alpha_minus to the base point 1."""
         return OrientedArc(self.alpha_minus, CirclePoint(0.0))
 
-    def apply(self, p: CirclePoint) -> CirclePoint:
-        """Welded partner of a point on either preimage arc."""
-        return CirclePoint(self.apply_angle(p.angle))
-
     def apply_angle(self, theta):
         """Partner angle(s), canonical; accepts scalars or arrays."""
         theta = np.asarray(theta, dtype=float)

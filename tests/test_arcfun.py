@@ -40,7 +40,8 @@ def test_homeomorphism_orientation_detection():
 
 def test_homeomorphism_identity_and_angle_map():
     a = arc(-0.5, 0.75)
-    h = ArcHomeomorphism.identity_on(a, 5)
+    s = np.linspace(0.0, a.length, 5)
+    h = ArcHomeomorphism(a, a, s, s.copy())
     th = np.linspace(-0.5, 0.75, 9)
     assert np.max(np.abs(h.angle_map(th) - th)) < 1e-12
 

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from slitweld.circle import (CirclePoint, MobiusCircleMap, OrientedArc, arc,
-                             canonical_angle, mobius_from_triple)
+from slitweld.circle import (CirclePoint, MobiusCircleMap, arc, canonical_angle,
+                             mobius_from_triple)
 from slitweld.errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -28,28 +28,11 @@ def test_circle_point_canonicalizes():
         CirclePoint(math.inf)
 
 
-def test_from_complex_projects():
-    p = CirclePoint.from_complex(3.0 + 4.0j)
-    assert abs(p.angle - math.atan2(4.0, 3.0)) < 1e-15
-    with pytest.raises(ValidationError):
-        CirclePoint.from_complex(0.0)
-
-
 def test_arc_length_wraps():
     a = arc(2.5, -2.5)   # through the angle pi
     assert abs(a.length - (TWO_PI - 5.0)) < 1e-12
     with pytest.raises(ValidationError):
         arc(1.0, 1.0)
-
-
-def test_arc_offsets_and_membership():
-    a = arc(-0.5, 1.0)
-    assert abs(a.offset_of(CirclePoint(0.25)) - 0.75) < 1e-12
-    assert a.contains(CirclePoint(1.0))
-    assert not a.contains(CirclePoint(2.0))
-    with pytest.raises(ValidationError):
-        a.offset_of(CirclePoint(2.0))
-    assert abs(a.at_offset(0.75).angle - 0.25) < 1e-12
 
 
 def test_mobius_rejects_outside_pole():

@@ -4,11 +4,13 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slitweld.cli as cli
+import slitweld.constructions as constructions
 from slitweld.cli import _COUNT_MAXIMUMS, _COUNT_MINIMUMS, RunConfig, _exit_code, main
 from slitweld.errors import (AccuracyError, ExtractionError, HitSingularityError,
                              IntegrationError, SlitWeldError, ValidationError)
@@ -92,19 +94,19 @@ def test_trace_end_to_end(workdir, driver_path):
     rc = main(["trace", "--driver", driver_path, "--out", out, "--count", "4",
                "--profile-out", prof, "--profile-samples", "8"])
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "t,x,y,residual"
     assert len(lines) == 5
     tip = float(lines[-1].split(",")[1])
     assert abs(tip - T_SLIT_LOG2) < 1e-4
-    plines = open(prof).read().splitlines()
+    plines = Path(prof).read_text().splitlines()
     assert plines[0] == "theta,tau,side"
     sides = {ln.split(",")[2] for ln in plines[1:]}
     assert sides == {"plus", "minus"}
 
 
 def test_weld_output_and_determinism(workdir, driver_path, extracted_path):
-    lines = open(extracted_path).read().splitlines()
+    lines = Path(extracted_path).read_text().splitlines()
     assert lines[0] == WELDING_HEADER
     assert lines[1] == "0,0,0"
     w = load_welding_csv(extracted_path)
@@ -113,7 +115,7 @@ def test_weld_output_and_determinism(workdir, driver_path, extracted_path):
     again = str(workdir / "extracted2.csv")
     assert main(["weld", "--driver", driver_path, "--out", again,
                  "--samples", "16"]) == 0
-    assert open(extracted_path, "rb").read() == open(again, "rb").read()
+    assert Path(extracted_path).read_bytes() == Path(again).read_bytes()
 
 
 _REPORT_FIELDS = [
@@ -130,7 +132,7 @@ def test_analyze_closed_form(workdir, driver_path, closed_form_path):
             "--out", out, "--quad-level", "64", "--window-samples", "64",
             "--qs-positions", "16"]
     assert main(argv) == 0
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     rep = json.loads(first)
     for field in _REPORT_FIELDS:
         assert field in rep
@@ -148,7 +150,7 @@ def test_analyze_closed_form(workdir, driver_path, closed_form_path):
     scales = [s for s, _ in rep["vmo_curve"]]
     assert len(scales) >= 3 and all(b < a for a, b in zip(scales, scales[1:]))
     assert main(argv) == 0
-    assert open(out, "rb").read() == first
+    assert Path(out).read_bytes() == first
 
 
 def test_analyze_without_driver(workdir, closed_form_path):
@@ -156,7 +158,7 @@ def test_analyze_without_driver(workdir, closed_form_path):
     assert main(["analyze", "--welding", closed_form_path, "--out", out,
                  "--quad-level", "64", "--window-samples", "64",
                  "--qs-positions", "16"]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["loewner_energy"] is None
     assert rep["lip_half_norm"] is None
 
@@ -168,7 +170,7 @@ def test_analyze_extracted_keep_going(workdir, driver_path, extracted_path):
     assert main(["analyze", "--welding", extracted_path, "--driver", driver_path,
                  "--out", out, "--quad-level", "64", "--window-samples", "64",
                  "--qs-positions", "16", "--keep-going"]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert abs(rep["qs_constant"] - 1.0) < 5e-3
     assert abs(rep["mr_constant"] - 1.0) < 5e-3
     assert rep["seminorm_log_phi_prime"] < 1e-2
@@ -180,7 +182,7 @@ def test_construct_closed_form(workdir, driver_path, closed_form_path):
             "--out", out, "--quad-level", "16", "--boundary-samples", "16",
             "--residual-count", "2"]
     assert main(argv) == 0
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     doc = json.loads(first)
     maps = doc["maps"]
     assert maps["tau"]["kind"] == "endpoint_normalizer"
@@ -202,7 +204,7 @@ def test_construct_closed_form(workdir, driver_path, closed_form_path):
     assert comp["pair_residual_max"] < 5e-3
     assert comp["pair_residual_count"] == 2
     assert main(argv) == 0
-    assert open(out, "rb").read() == first
+    assert Path(out).read_bytes() == first
 
 
 def test_plot_variants(workdir):
@@ -211,7 +213,7 @@ def test_plot_variants(workdir):
                           ("profile.csv", 1)):
         out = str(workdir / (src + ".svg"))
         assert main(["plot", "--input", str(workdir / src), "--out", out]) == 0
-        root = ET.fromstring(open(out).read())
+        root = ET.fromstring(Path(out).read_text())
         assert len(root.findall(f"{ns}polyline")) == n_series
     generic = workdir / "generic.csv"
     generic.write_text("s,v\n0,1\n1,2\n2,4\n")
@@ -320,3 +322,53 @@ def test_os_and_memory_failures_exit_6_and_remove_output(tmp_path, driver_path,
                  "--samples", "16"]) == 6
     assert not out.exists()
     assert _exit_code(exc) == 6
+
+
+@pytest.mark.parametrize("stage", ["analyze", "construct"])
+def test_header_only_welding_exits_2_without_output(tmp_path, stage):
+    welding = tmp_path / "empty.csv"
+    welding.write_text(WELDING_HEADER + "\n")
+    out = tmp_path / "out.json"
+    assert main([stage, "--welding", str(welding), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_driver_with_more_cells_than_a_flow_has_steps_exits_2_before_flows(
+        tmp_path, closed_form_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a flow started on a driver that no flow can cross")
+
+    for name in ("trace_curve", "hitting_profile", "extract_welding", "welding_construction",
+                 "pair_residuals", "compose_f"):
+        monkeypatch.setattr(cli, name, reached)
+    cells = cli.DEFAULT_FLOW_PARAMS.max_steps + 1
+    driver = tmp_path / "fine.json"
+    driver.write_text(json.dumps({"T": 1.0, "grid": np.linspace(0.0, 1.0, cells + 1).tolist(),
+                                  "sigma": [0.0] * (cells + 1)}))
+    out = tmp_path / "out"
+    for argv in (["trace", "--driver", str(driver), "--out", str(out)],
+                 ["weld", "--driver", str(driver), "--out", str(out)],
+                 ["construct", "--welding", closed_form_path, "--driver", str(driver),
+                  "--out", str(out)]):
+        assert main(argv) == 2
+        assert not out.exists()
+    # analyze runs no flow, so the driver's own functionals still take it
+    assert main(["analyze", "--welding", closed_form_path, "--driver", str(driver),
+                 "--out", str(out), "--quad-level", "64", "--window-samples", "64",
+                 "--qs-positions", "16"]) == 0
+
+
+def test_construct_with_driver_builds_the_chain_once(tmp_path, driver_path, closed_form_path,
+                                                     monkeypatch):
+    built = []
+
+    class CountingExtension(constructions._HarmonicExtension):
+        def __init__(self, psi):
+            built.append(psi)
+            super().__init__(psi)
+
+    monkeypatch.setattr(constructions, "_HarmonicExtension", CountingExtension)
+    assert main(["construct", "--welding", closed_form_path, "--driver", driver_path,
+                 "--out", str(tmp_path / "maps.json"), "--quad-level", "16",
+                 "--boundary-samples", "16", "--residual-count", "1"]) == 0
+    assert len(built) == 1

@@ -87,18 +87,21 @@ def test_smooth_piecewise_map_evaluates():
     assert np.max(np.abs(psi.log_deriv_angle(th) - np.log(1.0 + 0.3 * np.cos(th)))) < 1e-12
 
 
+def test_piecewise_map_returns_a_float_only_for_a_scalar():
+    psi = _smooth_circle_map()
+    for rule in (psi.apply_angle, psi.log_deriv_angle):
+        one = rule(np.array([0.4]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert isinstance(rule(0.4), float)
+        assert one[0] == rule(0.4)
+
+
 def test_build_psi_radial_is_identity():
     w = radial_slit_welding(T_SLIT_LOG2, n=64)
     psi = build_psi(w)
     th = np.linspace(-math.pi, math.pi, 101, endpoint=False)
     assert np.max(np.abs(_canon(psi.apply_angle(th) - th))) < 1e-9
     assert np.max(np.abs(psi.log_deriv_angle(th))) < 1e-9
-
-
-def test_build_psi_rejects_mismatched_tau():
-    w = radial_slit_welding(0.4, n=32)       # endpoints away from +-pi/2
-    with pytest.raises(ValidationError):
-        build_psi(w, MobiusCircleMap.identity())
 
 
 def test_psi_j_decomposition_tiles_full_energy():
@@ -244,8 +247,6 @@ def test_poincare_integral_closed_form_and_invariance():
     pulled = poincare_l2_integral(field, conf=conf)
     assert abs(pulled - want) < 0.04 * want
     with pytest.raises(ValidationError):
-        poincare_l2_integral(field, domain="upper_half_plane")
-    with pytest.raises(ValidationError):
         poincare_l2_integral(field, n_r=4)
     with pytest.raises(ValidationError):
         BeltramiField("unit_disk", lambda z: 0j, 1.0)
@@ -276,13 +277,9 @@ def test_welding_construction_radial_chain():
 
 def test_compose_f_radial(d_const):
     w = radial_slit_welding(T_SLIT_LOG2, n=64)
-    f = compose_f(d_const, w)
+    f = compose_f(d_const, welding_construction(w))
     assert abs(complex(f(0.0 + 0j))) < 1e-8
     probe = 0.9 * cmath.exp(0.75j * math.pi)
     img = complex(f(probe))
     assert abs(img) < 1.0
     assert f.params["T"] == d_const.T
-    f_num = compose_f(d_const, w, beta_policy=0.0)
-    assert abs(complex(f_num(0.0 + 0j))) < 1e-8
-    with pytest.raises(ValidationError):
-        compose_f(d_const, w, beta_policy="best")

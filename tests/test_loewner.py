@@ -47,8 +47,6 @@ def test_driver_validation():
         DrivingTerm([0.0, 0.5, 0.5], [0.0, 0.1, 0.2])
     with pytest.raises(ValidationError):
         DrivingTerm([0.0, np.inf], [0.0, 0.0])
-    with pytest.raises(ValidationError):
-        DrivingTerm.constant(0.0)
 
 
 def test_driver_sampling_and_grading():
@@ -164,7 +162,7 @@ def test_hitting_profile_radial(d_const):
 def test_trace_point_radial_tip_off_anchor():
     # T = 0.85 sits away from every worked anchor; only the capacity
     # inversion in the oracle predicts the tip there
-    d = DrivingTerm.constant(0.85)
+    d = DrivingTerm([0.0, 0.85], [0.0, 0.0])
     s = trace_point(d, 0.85)
     assert abs(s.tip.imag) < 1e-12
     assert abs(s.tip.real - oracles.radial_tip(0.85)) < 1e-4
@@ -176,7 +174,7 @@ def test_trace_point_radial_tip_and_residual_bound(T):
     # the tip flow starts at the singularity itself, so even short horizons,
     # where the slit is a short spike off the circle, are resolved fully;
     # the residual must bound the actual error, not merely be small
-    s = trace_point(DrivingTerm.constant(T), T)
+    s = trace_point(DrivingTerm([0.0, T], [0.0, 0.0]), T)
     err = abs(s.tip - oracles.radial_tip(T))
     assert err < 1e-9
     assert s.residual >= err

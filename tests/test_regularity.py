@@ -133,7 +133,8 @@ def test_qs_constant_identity_and_kink():
     from slitweld.arcfun import ArcHomeomorphism
 
     a = arc(0.0, 1.0)
-    assert qs_constant(ArcHomeomorphism.identity_on(a, 9)) == pytest.approx(1.0, abs=1e-12)
+    s = np.linspace(0.0, a.length, 9)
+    assert qs_constant(ArcHomeomorphism(a, a, s, s.copy())) == pytest.approx(1.0, abs=1e-12)
     # slope jump 1 -> 3 at the midpoint forces the triple ratio toward 3
     h = ArcHomeomorphism(a, arc(0.0, 2.0), [0.0, 0.5, 1.0], [0.0, 0.5, 2.0])
     got = qs_constant(h, max_depth=9, positions=257)
@@ -157,7 +158,7 @@ def test_mr_constant_values(w_const_256):
 def test_loewner_energy_exact_piecewise():
     d = DrivingTerm([0.0, 1.0, 3.0], [0.0, 0.5, -0.5])
     assert loewner_energy(d) == pytest.approx(0.5 * (0.25 + 0.5), abs=1e-15)
-    assert loewner_energy(DrivingTerm.constant(2.0)) == 0.0
+    assert loewner_energy(DrivingTerm([0.0, 2.0], [0.0, 0.0])) == 0.0
 
 
 def test_lip_half_norm_values(d_sqrt, d_const):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,8 @@ def test_load_driver_roundtrip(tmp_path):
      "not strictly increasing at index 2"),
     ({"T": 1.0, "grid": [0.0, 1.0], "sigma": [0.2, 0.1]}, "xi(0) = 1"),
     ({"T": 2.0, "grid": [0.0, 1.0], "sigma": [0.0, 0.1]}, "final grid node"),
+    ({"T": math.nan, "grid": [0.0, 1.0], "sigma": [0.0, 0.1]}, "'T' must be finite"),
+    ({"T": math.inf, "grid": [0.0, 1.0], "sigma": [0.0, 0.1]}, "'T' must be finite"),
 ])
 def test_load_driver_schema_errors(tmp_path, doc, snippet):
     path = str(tmp_path / "bad.json")
@@ -113,7 +116,7 @@ def test_welding_csv_roundtrip(tmp_path):
     w = Welding([0.0, 0.5, 1.0], [0.0, 0.3, 0.7], [0.0, -0.2, -0.5])
     path = str(tmp_path / "weld.csv")
     save_welding_csv(path, w)
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text.splitlines()[0] == WELDING_HEADER
     back = load_welding_csv(path)
     assert np.array_equal(back.times, w.times)
@@ -122,13 +125,16 @@ def test_welding_csv_roundtrip(tmp_path):
     # identical content writes identical bytes
     path2 = str(tmp_path / "weld2.csv")
     save_welding_csv(path2, w)
-    assert open(path2, "rb").read() == open(path, "rb").read()
+    assert Path(path2).read_bytes() == Path(path).read_bytes()
 
 
 def test_load_welding_csv_rejects_malformed(tmp_path):
     path = str(tmp_path / "w.csv")
     write_text(path, "time,plus,minus\n0,0,0\n")
     with pytest.raises(ValidationError, match="header"):
+        load_welding_csv(path)
+    write_text(path, WELDING_HEADER + "\n")
+    with pytest.raises(ValidationError, match="no data rows"):
         load_welding_csv(path)
     write_text(path, WELDING_HEADER + "\n0,0\n")
     with pytest.raises(ValidationError, match="line 2 must have 3 columns"):

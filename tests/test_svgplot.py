@@ -2,6 +2,7 @@
 
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_render_svg_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     save_svg(p1, s, title="x")
     save_svg(p2, s, title="x")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_equal_aspect_pixels_per_unit():
