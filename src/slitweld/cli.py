@@ -33,8 +33,9 @@ from .serialize import (json_dumps, load_csv_columns, load_driver, load_welding_
                         remove_if_exists, save_profile_csv, save_trace_csv,
                         save_welding_csv, write_text)
 from .svgplot import LineSeries, save_svg
-from .welding import (Welding, extract_welding, pair_residuals, radial_slit_welding,
-                      welding_as_homeomorphism, welding_log_derivative)
+from .welding import (PAIR_RADIUS, Welding, extract_welding, pair_residuals,
+                      radial_slit_welding, welding_as_homeomorphism,
+                      welding_log_derivative)
 
 __all__ = ["RunConfig", "main", "run_command"]
 
@@ -319,7 +320,7 @@ def _cmd_construct(args, outputs: list) -> int:
             "pair_residual_max": float(np.max(res)),
             "pair_residual_count": int(res.size),
             "note": "residuals compare boundary pairs pushed through the horizon "
-                    "flow at radius 0.9999",
+                    f"flow at radius {PAIR_RADIUS:g}",
         }
 
     doc = {

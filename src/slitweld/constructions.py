@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+
+_RESIDUAL_SAMPLES = 400     # interior samples of capital_psi_composite_residual
+_POINCARE_AGREE_TOL = 0.02  # relative agreement of poincare_l2_integral's two levels
 
 
 def _canon(a):
@@ -131,7 +134,6 @@ class DiskMapEvaluator:
     fn: Callable
     inverse: Callable | None = None
     boundary: Callable | None = None
-    params: dict = field(default_factory=dict)
 
     def __call__(self, z):
         return self.fn(z)
@@ -144,7 +146,6 @@ class BeltramiField:
     domain: str
     mu: Callable
     k_bound: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.k_bound < 1.0:
@@ -285,15 +286,15 @@ def build_capital_psi(inner: ArcHomeomorphism) -> PiecewiseCircleMap:
 
 
 def capital_psi_composite_residual(big_psi: PiecewiseCircleMap,
-                                   inner: ArcHomeomorphism, n: int = 400) -> float:
+                                   inner: ArcHomeomorphism) -> float:
     """Residual of undoing the conjugated-copy branch on the arc from -i to 1.
 
     Composing with the inverse of conj o inner o conj must restore the
-    identity there; the maximum circle distance over n interior samples is
-    returned.
+    identity there; the maximum circle distance over _RESIDUAL_SAMPLES
+    interior samples is returned.
     """
     inv = inner.inverse()
-    th = np.linspace(-_HALF_PI, 0.0, n + 2)[1:-1]
+    th = np.linspace(-_HALF_PI, 0.0, _RESIDUAL_SAMPLES + 2)[1:-1]
     img = big_psi.apply_angle(th)
     undone = -_canon(inv.angle_map(-img))
     d = np.abs(_canon(undone - th))
@@ -338,8 +339,7 @@ def slit_map_h(beta: float):
         th = 2.0 * math.atan(math.sqrt(s))
         return CirclePoint(th), CirclePoint(-th)
 
-    ev = DiskMapEvaluator("unit_disk", "slit_disk", forward, inverse, boundary,
-                          {"beta": beta, "c": c, "t_slit": t_slit})
+    ev = DiskMapEvaluator("unit_disk", "slit_disk", forward, inverse, boundary)
     return ev, t_slit, c
 
 
@@ -379,8 +379,7 @@ def lemma_q_map(z0: complex, r: float):
     def T_inv(w):
         return r * (w - 1j) / (w + 1j)
 
-    p = T(z0)
-    ap = cmath.phase(p)
+    ap = cmath.phase(T(z0))
     a1 = _HALF_PI / ap
     a2 = _HALF_PI / (math.pi - ap)
 
@@ -427,20 +426,17 @@ def lemma_q_map(z0: complex, r: float):
         return complex(out[0]) if scalar else out
 
     k = max(abs(1.0 - a1) / (1.0 + a1), abs(1.0 - a2) / (1.0 + a2))
-    params = {"z0": z0, "r": r, "p": p, "arg_p": ap, "rate_low": a1, "rate_high": a2}
-    ev = DiskMapEvaluator("unit_disk", "unit_disk", q, q_inv, None, dict(params))
-    return ev, BeltramiField("unit_disk", mu, k, dict(params))
+    return DiskMapEvaluator("unit_disk", "unit_disk", q, q_inv), BeltramiField("unit_disk", mu, k)
 
 
 def poincare_l2_integral(mu: BeltramiField, conf: DiskMapEvaluator | None = None,
-                         n_r: int = 128, agree_tol: float = 0.02,
-                         strict: bool = True) -> float:
+                         n_r: int = 128, strict: bool = True) -> float:
     """Squared Poincare-weighted L2 mass of a dilatation field.
 
     Integrates |mu|^2 / (1 - |z|^2)^2 over the unit disk on a polar midpoint
     grid; with conf given, mu is evaluated at conf(z), which computes the
     integral over conf's image domain by conformal invariance.  Two dyadic
-    levels must agree within agree_tol.
+    levels must agree within _POINCARE_AGREE_TOL unless strict is off.
     """
     if conf is not None and conf.domain != "unit_disk":
         raise ValidationError("conf must parametrize from the unit disk")
@@ -461,7 +457,7 @@ def poincare_l2_integral(mu: BeltramiField, conf: DiskMapEvaluator | None = None
     q2 = level(2 * n_r)
     value = 2.0 * q2 - q1
     agreement = abs(q2 - q1) / max(abs(value), 1e-12)
-    if strict and agreement > agree_tol:
+    if strict and agreement > _POINCARE_AGREE_TOL:
         raise AccuracyError(q1, q2)
     return value
 
@@ -561,6 +557,4 @@ def compose_f(d: DrivingTerm, built: dict,
         z = tau(z)
         return upward_flow(d, z, d.T, params)
 
-    pars = {key: built[key] for key in ("beta", "t_slit", "c", "r_q", "u0")}
-    pars["T"] = d.T
-    return DiskMapEvaluator("slit_disk", "slit_complement", f, None, None, pars)
+    return DiskMapEvaluator("slit_disk", "slit_complement", f)

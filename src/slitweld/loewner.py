@@ -12,9 +12,9 @@ adaptive Dormand-Prince 5(4) run per cell: sigma is linear on a cell, so the
 right-hand side is smooth there and the run reads sigma from the cell's node
 value and slope.  The step size and the per-flow step budget carry from cell
 to cell.  Besides the usual error control, the interior and boundary flows
-cap the step by c_step * Delta^2, where Delta is the distance to the current
+cap the step by _C_STEP * Delta^2, where Delta is the distance to the current
 singularity, and boundary trajectories terminate when they come within
-eps_hit of the driver angle.
+_EPS_HIT of the driver angle.
 
 Flows born at the singularity need no cap: the angles absorbed at a given
 time run backward from it in the chart v = (theta - sigma)^2, the trace tips
@@ -49,7 +49,6 @@ __all__ = [
     "upward_flow",
     "downward_flow",
     "boundary_flow",
-    "hitting_time",
     "slit_preimage_endpoints",
     "hitting_profile",
     "trace_point",
@@ -63,16 +62,18 @@ class FlowParams:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    c_step: float = 0.1          # step cap dt <= c_step * Delta^2
-    eps_hit: float = 1e-6        # boundary hit threshold, radians
     max_steps: int = 4096        # per-flow step budget
-    sing_eps: float = 1e-9       # downward-flow abort distance to the singularity
 
 
 DEFAULT_FLOW_PARAMS = FlowParams()
 
 # tighter error control for derivative and round-trip checks
 PRECISE_FLOW_PARAMS = FlowParams(rtol=1e-12, atol=1e-14, max_steps=100000)
+
+_C_STEP = 0.1                # step cap dt <= _C_STEP * Delta^2
+_EPS_HIT = 1e-6              # boundary hit threshold, radians
+_SING_EPS = 1e-9             # downward-flow abort distance to the singularity
+_TRACE_RESIDUAL_TOL = 1e-3   # trace_point raises TraceError above this residual
 
 
 class DrivingTerm:
@@ -337,8 +338,8 @@ def _disk_flow(d: DrivingTerm, z: complex, t: float, params: FlowParams, up: boo
     """Upward flow forward from driver time 0, or downward flow back from T.
 
     Both solve g' = -g (xi + g)/(xi - g) in driver time, so the downward field
-    flips sign in the flow's time.  Steps are capped by c_step |xi - g|^2; the
-    downward flow stops once |xi - g| < sing_eps.
+    flips sign in the flow's time.  Steps are capped by _C_STEP |xi - g|^2; the
+    downward flow stops once |xi - g| < _SING_EPS.
     """
     t = _validate_time(d, t)
     if abs(z) >= 1.0:
@@ -347,7 +348,7 @@ def _disk_flow(d: DrivingTerm, z: complex, t: float, params: FlowParams, up: boo
         return 0j
     if t == 0.0:
         return complex(z)
-    c_step, sing_eps = params.c_step, params.sing_eps
+    c_step, sing_eps = _C_STEP, _SING_EPS   # read once per flow, not per step
 
     def field(sigma, rate):
         def rhs(r, y):
@@ -373,20 +374,22 @@ def _disk_flow(d: DrivingTerm, z: complex, t: float, params: FlowParams, up: boo
     return y
 
 
-def _boundary_run(d: DrivingTerm, theta0: float, t_end: float, params: FlowParams,
-                  record=None):
-    """Integrate one boundary angle in the lifted chart sigma < theta < sigma + 2pi.
+def boundary_flow(d: DrivingTerm, theta0: float, t_end: float,
+                  params: FlowParams = DEFAULT_FLOW_PARAMS):
+    """Angle path theta(t) of a boundary point until it hits or reaches t_end.
 
-    Returns (hit, t, theta) where hit is True when the trajectory came within
-    eps_hit of the singularity.
+    Returns (times, angles, hit).  The path runs in the lifted chart
+    sigma < theta < sigma + 2pi, and hit is True when it came within _EPS_HIT
+    of the singularity; reduce with canonical_angle for circle positions.
     """
+    t_end = _validate_time(d, t_end)
     sigma0 = d.sigma_at(0.0)
     u0 = math.fmod(theta0 - sigma0, TWO_PI)
     if u0 < 0.0:
         u0 += TWO_PI
-    if u0 < params.eps_hit or TWO_PI - u0 < params.eps_hit:
-        return True, 0.0, theta0
-    c_step, eps_hit = params.c_step, params.eps_hit
+    if u0 < _EPS_HIT or TWO_PI - u0 < _EPS_HIT:
+        return np.array([0.0]), np.array([theta0]), True
+    c_step, eps_hit = _C_STEP, _EPS_HIT   # read once per flow, not per step
 
     def field(sigma, rate):
         def rhs(r, th):
@@ -406,47 +409,14 @@ def _boundary_run(d: DrivingTerm, theta0: float, t_end: float, params: FlowParam
 
         return cap, stop
 
-    t, th, hit, _ = _walk(d, 0.0, t_end, sigma0 + u0, field, params, guard, record)
-    return hit, t, th
+    ts, ths = [0.0], [theta0]
 
-
-def boundary_flow(d: DrivingTerm, theta0: float, t_end: float | None = None,
-                  params: FlowParams = DEFAULT_FLOW_PARAMS):
-    """Angle path theta(t) of a boundary point until it hits or reaches t_end.
-
-    Returns (times, angles, hit).  The path is reported in the lifted chart;
-    reduce with canonical_angle for circle positions.
-    """
-    t_end = _validate_time(d, d.T if t_end is None else t_end)
-    ts = [0.0]
-    ths = [theta0]
-
-    def rec(s, th):
+    def rec(s, th):   # every accepted step, the one that hits included
         ts.append(s)
         ths.append(th)
 
-    hit, t, th = _boundary_run(d, theta0, t_end, params, record=rec)
-    if hit and ts[-1] != t:
-        ts.append(t)
-        ths.append(th)
+    hit = _walk(d, 0.0, t_end, sigma0 + u0, field, params, guard, rec)[2]
     return np.array(ts), np.array(ths), hit
-
-
-def hitting_time(d: DrivingTerm, theta0: float,
-                 params: FlowParams = DEFAULT_FLOW_PARAMS):
-    """(tau, side) for a boundary start angle, or None if it survives to T.
-
-    side is "plus" when the trajectory reaches the singularity from the
-    counterclockwise side (preimage of the slit's plus side), else "minus".
-    """
-    hit, t, th = _boundary_run(d, theta0, d.T, params)
-    if not hit:
-        return None
-    u = math.fmod(th - d.sigma_at(t), TWO_PI)
-    if u < 0.0:
-        u += TWO_PI
-    side = "plus" if u <= math.pi else "minus"
-    return t, side
 
 
 def _angle_field(sigma: float, rate: float):
@@ -523,8 +493,7 @@ def hitting_profile(d: DrivingTerm, n: int = 32,
 
 
 def trace_point(d: DrivingTerm, t: float,
-                params: FlowParams = DEFAULT_FLOW_PARAMS,
-                residual_tol: float = 1e-3) -> TraceSample:
+                params: FlowParams = DEFAULT_FLOW_PARAMS) -> TraceSample:
     """Trace tip gamma(t): the upward flow from the singularity at T - t to T.
 
     The flow runs in the rotating chart q = (1 - g / xi(s))^2, which is smooth
@@ -536,7 +505,7 @@ def trace_point(d: DrivingTerm, t: float,
     _, q, _, err = _walk(d, d.T - t, d.T, 0.0, _tip_field, params, born=True)
     p = cmath.sqrt(q)
     residual = err / (2.0 * abs(p))
-    if residual > residual_tol:
+    if residual > _TRACE_RESIDUAL_TOL:
         raise TraceError(residual)
     return TraceSample(t, d.xi_at(d.T) * (1.0 - p), residual)
 

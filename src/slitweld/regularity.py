@@ -48,6 +48,10 @@ _AGREE_FLOOR = 1e-8
 # 1.3x slower at level 4096
 _BLOCK_CELLS = 1 << 16
 
+_MIN_WINDOW = 8      # vmo_curve's smallest window, in samples
+_QS_DEPTH = 9        # qs_constant's separations L / 2^j run over j = 1 .. _QS_DEPTH
+_DENSE_GAPS = 4096   # lip_half_norm scans every node gap up to this many nodes
+
 
 def _resolve(u):
     """Evaluation callable and natural domain of a sampled or closed-form u."""
@@ -234,26 +238,26 @@ def vmo_modulus(u, scale: float, samples: int = 2048) -> float:
     return float(osc.max())
 
 
-def vmo_curve(u, samples: int = 2048, min_window: int = 8) -> list:
+def vmo_curve(u, samples: int = 2048) -> list:
     """[scale, vmo_modulus] pairs at the dyadic scales span, span / 2, ...
 
-    Scales stop before a window would hold fewer than min_window samples.
+    Scales stop before a window would hold fewer than _MIN_WINDOW samples.
     """
     _, span, h, _ = _window_setup(u, samples)
     curve = []
     scale = span
-    while scale / h >= min_window:
+    while scale / h >= _MIN_WINDOW:
         curve.append([scale, vmo_modulus(u, scale, samples)])
         scale *= 0.5
     return curve
 
 
-def bmo_norm(u, samples: int = 2048, min_window: int = 8) -> float:
+def bmo_norm(u, samples: int = 2048) -> float:
     """Supremum of vmo_modulus over dyadic window scales."""
-    return max((m for _, m in vmo_curve(u, samples, min_window)), default=0.0)
+    return max((m for _, m in vmo_curve(u, samples)), default=0.0)
 
 
-def qs_constant(h: ArcHomeomorphism, max_depth: int = 9, positions: int = 256) -> float:
+def qs_constant(h: ArcHomeomorphism, positions: int = 256) -> float:
     """Quasisymmetry constant over symmetric triples at dyadic separations.
 
     Compares chordal image lengths of adjacent equal-length arcs; a degenerate
@@ -261,7 +265,7 @@ def qs_constant(h: ArcHomeomorphism, max_depth: int = 9, positions: int = 256) -
     """
     L = h.domain.length
     worst = 1.0
-    for j in range(1, max_depth + 1):
+    for j in range(1, _QS_DEPTH + 1):
         delta = L / 2.0 ** j
         inner = L - 2.0 * delta
         if inner < 0.0:
@@ -298,7 +302,7 @@ def loewner_energy(d: DrivingTerm) -> float:
     return float(0.5 * np.sum(ds * ds / dt))
 
 
-def lip_half_norm(d: DrivingTerm, dense_limit: int = 4096) -> float:
+def lip_half_norm(d: DrivingTerm) -> float:
     """Largest chordal increment of e^{i sigma} against the square-root gap.
 
     All node gaps are scanned when the grid is small; larger grids fall back
@@ -309,7 +313,7 @@ def lip_half_norm(d: DrivingTerm, dense_limit: int = 4096) -> float:
     n = t.size
     if n < 2:
         return 0.0
-    gaps = range(1, n) if n <= dense_limit else _dyadic_gaps(n)
+    gaps = range(1, n) if n <= _DENSE_GAPS else _dyadic_gaps(n)
     best = 0.0
     for g in gaps:
         chord = 2.0 * np.abs(np.sin(0.5 * (s[g:] - s[:-g])))

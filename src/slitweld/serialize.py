@@ -32,6 +32,7 @@ __all__ = [
 WELDING_HEADER = "t,theta_plus,theta_minus"
 TRACE_HEADER = "t,x,y,residual"
 PROFILE_HEADER = "theta,tau,side"
+_INDENT = 2   # spaces per JSON nesting level
 
 
 def format_float(x: float) -> str:
@@ -42,9 +43,9 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _json_value(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _json_value(obj, level: int) -> str:
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if obj is None:
         return "null"
     if obj is True:
@@ -58,31 +59,53 @@ def _json_value(obj, indent: int, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, complex):
-        return _json_value({"re": obj.real, "im": obj.imag}, indent, level)
+        return _json_value({"re": obj.real, "im": obj.imag}, level)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_value(v, indent, level + 1) for v in obj]
+        items = [_json_value(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{json.dumps(str(k))}: {_json_value(v, indent, level + 1)}"
+        items = [f"{json.dumps(str(k))}: {_json_value(v, level + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "}"
     raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
+def json_dumps(obj) -> str:
     """Serialize with insertion-ordered keys and fixed float formatting."""
-    return _json_value(obj, indent, 0) + "\n"
+    return _json_value(obj, 0) + "\n"
 
 
 def write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text to a new temp file next to path, then rename it over path.
+
+    A run killed mid-write thus never leaves a truncated file at path; with
+    no fsync, a power loss still can.  On any error the temp file is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")   # never an existing file
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        remove_if_exists(tmp)
+        raise
+
+
+def _number(x) -> float:
+    """A JSON number as a float, nan for any other value and inf past the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:   # an integer too large for a float
+        return math.inf
 
 
 def _require_number_list(data: dict, name: str):
@@ -91,10 +114,11 @@ def _require_number_list(data: dict, name: str):
     val = data[name]
     if not isinstance(val, list) or not val:
         raise ValidationError(f"driver field '{name}' must be a non-empty list")
+    val = [_number(x) for x in val]
     for i, x in enumerate(val):
-        if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+        if not math.isfinite(x):
             raise ValidationError(f"driver field '{name}' index {i} is not a finite number")
-    return [float(x) for x in val]
+    return val
 
 
 def load_driver(path: str) -> DrivingTerm:
@@ -112,7 +136,7 @@ def load_driver(path: str) -> DrivingTerm:
     sigma = _require_number_list(data, "sigma")
     if "T" not in data or isinstance(data["T"], bool) or not isinstance(data["T"], (int, float)):
         raise ValidationError("driver field 'T' must be a number")
-    T = float(data["T"])
+    T = _number(data["T"])
     if not math.isfinite(T):
         raise ValidationError("driver field 'T' must be finite")
     if len(grid) != len(sigma):

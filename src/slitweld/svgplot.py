@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
+from .serialize import write_text
 
 __all__ = ["LineSeries", "render_svg", "save_svg"]
 
@@ -19,6 +20,7 @@ _HEIGHT = 480.0
 _MARGIN = (70.0, 20.0, 42.0, 52.0)   # left, right, top, bottom
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _FONT = "font-family=\"Helvetica,Arial,sans-serif\""
+_TICK_TARGET = 5   # about this many ticks per axis
 
 
 class LineSeries:
@@ -34,10 +36,10 @@ class LineSeries:
         self.label = label
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5):
+def _nice_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -166,5 +168,4 @@ def render_svg(series, title: str = "", xlabel: str = "", ylabel: str = "",
 
 def save_svg(path: str, series, title: str = "", xlabel: str = "", ylabel: str = "",
              equal_aspect: bool = False):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_svg(series, title, xlabel, ylabel, equal_aspect))
+    write_text(path, render_svg(series, title, xlabel, ylabel, equal_aspect))

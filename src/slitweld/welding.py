@@ -29,6 +29,8 @@ __all__ = [
     "pair_residuals",
 ]
 
+PAIR_RADIUS = 1.0 - 1e-4   # pair_residuals pushes each welded pair to this radius
+
 
 @dataclass
 class Welding:
@@ -207,12 +209,12 @@ def radial_slit_welding(t_slit: float, n: int = 256) -> Welding:
 
 
 def pair_residuals(d: DrivingTerm, w: Welding, count: int = 8,
-                   radius: float = 1.0 - 1e-4,
                    params: FlowParams = DEFAULT_FLOW_PARAMS) -> np.ndarray:
     """Distances between horizon-map images of welded pairs pushed inside.
 
-    Both members of a pair approach the same slit point, so residuals on the
-    order of 1 - radius confirm the extraction; large values flag a mismatch.
+    Both members of a pair, pushed to radius PAIR_RADIUS, approach the same
+    slit point, so residuals on the order of 1 - PAIR_RADIUS confirm the
+    extraction; large values flag a mismatch.
     """
     if count < 1:
         raise ValidationError("need at least one probe pair")
@@ -220,7 +222,7 @@ def pair_residuals(d: DrivingTerm, w: Welding, count: int = 8,
     idx = np.unique(np.round(np.linspace(1, m - 2, count)).astype(int))
     res = []
     for k in idx:
-        zp = radius * np.exp(1j * w.theta_plus[k])
-        zm = radius * np.exp(1j * w.theta_minus[k])
+        zp = PAIR_RADIUS * np.exp(1j * w.theta_plus[k])
+        zm = PAIR_RADIUS * np.exp(1j * w.theta_minus[k])
         res.append(abs(upward_flow(d, zp, d.T, params) - upward_flow(d, zm, d.T, params)))
     return np.array(res)

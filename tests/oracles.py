@@ -17,6 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from slitweld.errors import DiagnosticsError, IntegrationError
+from slitweld.loewner import boundary_flow
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,6 +216,27 @@ def scipy_boundary_angle(sigma_fn, theta0: float, t: float,
     if not sol.success:
         raise RuntimeError(f"scipy integration failed: {sol.message}")
     return float(sol.y[0, -1])
+
+
+# ---------------------------------------------------- forward boundary flow
+
+def hitting_time(d, theta0: float):
+    """(tau, side) for a boundary start angle, or None if it survives to T.
+
+    Runs the library's forward boundary_flow from theta0, which extraction
+    never uses, so it checks the absorbed angles that extraction finds by
+    flowing backward from the singularity.  side is "plus" when the
+    trajectory reaches the singularity from the counterclockwise side
+    (preimage of the slit's plus side), else "minus".
+    """
+    times, angles, hit = boundary_flow(d, theta0, d.T)
+    if not hit:
+        return None
+    t = float(times[-1])
+    u = math.fmod(float(angles[-1]) - d.sigma_at(t), TWO_PI)
+    if u < 0.0:
+        u += TWO_PI
+    return t, "plus" if u <= math.pi else "minus"
 
 
 # ------------------------------------------------- generic DP5(4) reference

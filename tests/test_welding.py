@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from slitweld.errors import ValidationError
-from slitweld.loewner import DrivingTerm, hitting_time, slit_preimage_endpoints
+from slitweld.loewner import DrivingTerm, slit_preimage_endpoints
 from slitweld.welding import (
     Welding,
     extract_welding,
@@ -114,7 +114,7 @@ def test_extraction_properties_on_random_drivers(seed, const):
     # forward flow may also just survive
     for side, column in (("plus", w.theta_plus), ("minus", w.theta_minus)):
         for t, theta in zip(w.times[1:], column[1:]):
-            hit = hitting_time(d, theta)
+            hit = oracles.hitting_time(d, theta)
             if hit is None:
                 assert t == d.T
                 continue
