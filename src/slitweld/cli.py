@@ -55,7 +55,7 @@ _COUNT_MINIMUMS = {
 _COUNT_MAXIMUMS = {
     "welding_samples": 32768,     # two backward flows, 0.3 ms, per sample (2-node driver)
     "trace_count": 4096,          # one upward flow, 0.6 ms, per tip
-    "quad_level": 8192,           # construct sums 126 m^2 chordal cells, 36 s at the cap
+    "quad_level": 8192,           # FFT chordal sums: construct 0.3-0.8 s and 7 MiB at the cap
     "boundary_samples": 65536,    # 360 bytes of JSON and 0.13 ms per sample
     "profile_samples": 32768,     # as welding_samples
     "window_samples": 8192,       # mean oscillation in row blocks: 2 MiB, 0.2 s at the cap

@@ -139,8 +139,8 @@ def dense_chordal_level(u, start1: float, span1: float, start2: float, span2: fl
     """One m-point midpoint level of the raw chordal energy of u over two arcs.
 
     Builds the whole (m, m) cell array at once, with the colliding midpoints
-    of a same-arc sum masked out: the dense formula the library's row-blocked
-    kernel replaced, kept here as its reference.
+    of a same-arc sum masked out: the dense formula that the library's
+    chordal kernel sums, kept here as its reference.
     """
     h1, h2 = span1 / m, span2 / m
     th1 = start1 + (np.arange(m) + 0.5) * h1
@@ -151,6 +151,34 @@ def dense_chordal_level(u, start1: float, span1: float, start2: float, span2: fl
     if same:
         np.fill_diagonal(mask, 0.0)
     return float(np.sum(_dense_cells(th1, u1, th2, u2, mask)) * h1 * h2)
+
+
+def blocked_chordal_sum(th1, u1, th2, u2, same: bool) -> float:
+    """Sum of (u1_i - u2_j)^2 / |e^{i th1_i} - e^{i th2_j}|^2 over all cells.
+
+    Walks the cell array in row blocks of about 2^16 cells, so memory
+    is O(m): the kernel the library's FFT products replaced, kept as their
+    reference at levels too large for dense_chordal_level.  With same, th1
+    and th2 are one grid and the diagonal cells are dropped.  The chord comes
+    from the half-angle identity sin((a - b)/2) = sin(a/2) cos(b/2)
+    - cos(a/2) sin(b/2), with the sines and cosines taken once per midpoint.
+    """
+    s1, c1 = np.sin(0.5 * th1), np.cos(0.5 * th1)
+    s2, c2 = np.sin(0.5 * th2), np.cos(0.5 * th2)
+    rows = max(1, (1 << 16) // th2.size)
+    total = 0.0
+    for lo in range(0, th1.size, rows):
+        hi = min(lo + rows, th1.size)
+        half_chord = np.multiply.outer(s1[lo:hi], c2)
+        half_chord -= np.multiply.outer(c1[lo:hi], s2)
+        q = np.subtract.outer(u1[lo:hi], u2)
+        if same:
+            r = np.arange(hi - lo)
+            half_chord[r, lo + r] = 1.0   # q is 0 there, so the cell drops out
+        q /= half_chord
+        q *= q
+        total += float(q.sum())
+    return 0.25 * total
 
 
 def dense_wp_level(log_chi_deriv, m_base: int, mm: int):

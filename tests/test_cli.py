@@ -3,12 +3,16 @@
 import json
 import math
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import slitweld.cli as cli
 import slitweld.constructions as constructions
 from slitweld.cli import _COUNT_MAXIMUMS, _COUNT_MINIMUMS, RunConfig, _exit_code, main
@@ -116,6 +120,22 @@ def test_weld_output_and_determinism(workdir, driver_path, extracted_path):
     assert main(["weld", "--driver", driver_path, "--out", again,
                  "--samples", "16"]) == 0
     assert Path(extracted_path).read_bytes() == Path(again).read_bytes()
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), const=st.floats(0.05, 0.5))
+def test_weld_reruns_are_byte_identical_on_random_drivers(seed, const):
+    grid, sigma = oracles.random_lip_half_nodes(np.random.default_rng(seed), n=32,
+                                                const=const)
+    with tempfile.TemporaryDirectory() as tmp:
+        driver = Path(tmp) / "driver.json"
+        driver.write_text(json.dumps({"T": float(grid[-1]), "grid": grid.tolist(),
+                                      "sigma": sigma.tolist()}))
+        outs = [Path(tmp) / f"welding{k}.csv" for k in (1, 2)]
+        for out in outs:
+            assert main(["weld", "--driver", str(driver), "--out", str(out),
+                         "--samples", "8"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 _REPORT_FIELDS = [

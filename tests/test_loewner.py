@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from slitweld.errors import (
@@ -74,6 +76,17 @@ def test_driver_breaks_in_matches_node_scan(d_sqrt, rng):
     ends += [(rev[i], rev[j]) for i in range(0, 257, 16) for j in range(i, 257, 16)]
     for t0, t1 in ends:
         assert d_sqrt.breaks_in(t0, t1) == [p for p in g if t0 < p < t1]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), const=st.floats(0.05, 0.5),
+       radius=st.floats(0.0, 0.9), angle=st.floats(0.0, 2.0 * math.pi))
+def test_upward_flow_inverts_downward_flow_on_random_drivers(seed, const, radius, angle):
+    grid, sigma = oracles.random_lip_half_nodes(np.random.default_rng(seed), const=const)
+    d = DrivingTerm(grid, sigma)
+    z = radius * cmath.exp(1j * angle)
+    assert abs(upward_flow(d, downward_flow(d, z, d.T), d.T) - z) < 1e-9
+
 
 def test_upward_flow_fixes_origin_and_contracts(d_sqrt):
     assert upward_flow(d_sqrt, 0j, d_sqrt.T) == 0j

@@ -222,6 +222,57 @@ def test_wp_cross_condition_matches_dense_reference(w_sqrt_256, m):
         assert got["alpha_cell_mass"] == pytest.approx(dense[-1][1], rel=1e-12)
 
 
+# the FFT kernel at levels up to 4096 against the O(m)-memory blocked sum: the
+# pairs above, C x A (steps 1 : 2, as in J6) and the two quarter arcs of the
+# wp cross integral; the offset function has a mean 50 times its spread
+FFT_PAIRS = dict(ARC_PAIRS,
+                 CxA=(arc(math.pi, -0.5 * math.pi), arc(0.0, math.pi)),
+                 wp=(arc(0.0, 0.5 * math.pi), arc(-0.5 * math.pi, 0.0)))
+
+
+def _blocked_levels(u, I, J, m, same):
+    levels = []
+    for mm in (m, 2 * m, 4 * m):
+        h1, h2 = I.length / mm, J.length / mm
+        th1 = I.start.angle + (np.arange(mm) + 0.5) * h1
+        th2 = J.start.angle + (np.arange(mm) + 0.5) * h2
+        u1 = np.asarray(u(th1), dtype=float)
+        u2 = u1 if same else np.asarray(u(th2), dtype=float)
+        levels.append(oracles.blocked_chordal_sum(th1, u1, th2, u2, same) * h1 * h2)
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("func", ["trig", "offset"])
+@pytest.mark.parametrize("pair", sorted(FFT_PAIRS))
+def test_fft_kernel_matches_blocked_reference(rng, pair, func):
+    if func == "trig":
+        u, _ = oracles.trig_poly(rng, 4)
+    else:
+        def u(th):
+            return 5.0 + 0.1 * np.sin(th)
+    I, J = FFT_PAIRS[pair]
+    got = h_half_seminorm_detail(u, I, J, normalization="raw", m=1024, strict=False)
+    want = _blocked_levels(u, I, J, 1024, pair == "AxA")
+    assert got["levels"] == pytest.approx(want, rel=1e-11)
+
+
+def test_incommensurate_arcs_are_rejected(rng):
+    def never(th):
+        raise AssertionError("u evaluated before the arcs were checked")
+
+    with pytest.raises(ValidationError):
+        h_half_seminorm_detail(never, arc(0.0, 1.0), arc(2.0, 3.5))
+    u, _ = oracles.trig_poly(rng, 4)
+    short, long = arc(0.0, 0.5), arc(1.0, 2.5)   # steps 1 : 3
+    tiny = arc(3.0, 3.05)                         # steps 1 : 30, more phases than m
+    for I, J in ((short, long), (long, short), (tiny, long)):
+        got = h_half_seminorm_detail(u, I, J, normalization="raw", m=16, strict=False)
+        want = tuple(oracles.dense_chordal_level(u, I.start.angle, I.length, J.start.angle,
+                                                 J.length, mm, False)
+                     for mm in (16, 32, 64))
+        assert got["levels"] == pytest.approx(want, rel=1e-12)
+
+
 def test_quadrature_memory_is_linear_in_level():
     # one dense (4m)^2 float array at m = 1024 alone would take 128 MiB
     w = radial_slit_welding(0.3, 256)
