@@ -25,7 +25,7 @@ from .loewner import (DEFAULT_FLOW_PARAMS, PRECISE_FLOW_PARAMS, DrivingTerm,
                       trace_curve, trace_point, upward_flow)
 from .regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
                          lip_half_norm, loewner_energy, mr_constant, qs_constant,
-                         vmo_curve, vmo_modulus, wp_cross_condition)
+                         vmo_curve, wp_cross_condition)
 from .welding import (Welding, build_tau, extract_welding, pair_residuals,
                       radial_slit_welding,
                       welding_as_homeomorphism, welding_log_derivative)

@@ -6,12 +6,11 @@ a wrapped arc stay monotone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, OrientedArc
+from .circle import TWO_PI, OrientedArc, canonical_angle
 from .errors import ValidationError
 
 __all__ = ["ArcFunction", "ArcHomeomorphism"]
@@ -96,11 +95,8 @@ class ArcHomeomorphism:
 
     def angle_map(self, theta):
         """Circle angles in, canonical circle angles out."""
-        theta = np.asarray(theta, dtype=float)
-        rel = np.mod(theta - self.domain.start.angle, TWO_PI)
-        img = self.eval_offset(rel) + self.codomain.start.angle
-        out = np.mod(img + math.pi, TWO_PI) - math.pi
-        return out if out.ndim else float(out)
+        rel = np.mod(np.asarray(theta, dtype=float) - self.domain.start.angle, TWO_PI)
+        return canonical_angle(self.eval_offset(rel) + self.codomain.start.angle)
 
     def log_deriv_offset(self, s):
         """log of the per-cell slope magnitude (piecewise constant)."""

@@ -1,8 +1,10 @@
 """Points, oriented arcs and Mobius self-maps of the unit circle.
 
-Angles are radians; the canonical representative lives in (-pi, pi].  Oriented
-arcs are traversed counterclockwise from start to end and positions along an
-arc are measured as nonnegative angular offsets from the start point.
+Angles are radians.  Every circle map in the package returns angles in one
+interval, (-pi, pi], reduced by canonical_angle; an angle already in that
+interval comes back bit for bit.  Oriented arcs are traversed
+counterclockwise from start to end and positions along an arc are measured as
+nonnegative angular offsets from the start point.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ __all__ = [
 ]
 
 
-def canonical_angle(theta: float) -> float:
-    """Reduce an angle to the canonical interval (-pi, pi]."""
-    a = math.fmod(theta, TWO_PI)
-    if a <= -math.pi:
-        a += TWO_PI
-    elif a > math.pi:
-        a -= TWO_PI
-    return a
+def canonical_angle(theta):
+    """Reduce angles to the canonical interval (-pi, pi]; a float for a scalar.
+
+    fmod is exact, so an angle already in the interval is returned unchanged.
+    """
+    a = np.fmod(theta, TWO_PI)
+    a = np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a))
+    return a if a.ndim else float(a)
 
 
 @dataclass(frozen=True)
@@ -99,31 +101,18 @@ class MobiusCircleMap:
 
     def __call__(self, z):
         """Evaluate at a complex point or numpy array of points."""
-        phase = cmath.exp(1j * self.rotation)
-        if isinstance(z, (complex, float, int)):
-            return phase * (z - self.pole) / (1.0 - self.pole.conjugate() * z)
-        z = np.asarray(z)
-        return phase * (z - self.pole) / (1.0 - self.pole.conjugate() * z)
+        return cmath.exp(1j * self.rotation) * (z - self.pole) / (1.0 - self.pole.conjugate() * z)
 
     def deriv_abs(self, z):
         """|m'(z)|, valid on the closed disk."""
-        num = 1.0 - abs(self.pole) ** 2
-        if isinstance(z, (complex, float, int)):
-            return num / abs(1.0 - self.pole.conjugate() * z) ** 2
-        return num / np.abs(1.0 - self.pole.conjugate() * np.asarray(z)) ** 2
+        return (1.0 - abs(self.pole) ** 2) / abs(1.0 - self.pole.conjugate() * z) ** 2
 
     def apply_angle(self, theta):
         """Boundary action on angles (scalar or numpy array), canonical output."""
-        if isinstance(theta, (float, int)):
-            w = self(cmath.exp(1j * theta))
-            return math.atan2(w.imag, w.real)
-        w = self(np.exp(1j * np.asarray(theta, dtype=float)))
-        return np.angle(w)
+        return canonical_angle(np.angle(self(np.exp(1j * np.asarray(theta, dtype=float)))))
 
     def log_deriv_angle(self, theta):
         """log|m'| on the boundary, by angle."""
-        if isinstance(theta, (float, int)):
-            return math.log(self.deriv_abs(cmath.exp(1j * theta)))
         return np.log(self.deriv_abs(np.exp(1j * np.asarray(theta, dtype=float))))
 
     def inverse(self) -> MobiusCircleMap:

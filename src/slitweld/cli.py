@@ -55,8 +55,8 @@ _COUNT_MINIMUMS = {
 _COUNT_MAXIMUMS = {
     "welding_samples": 32768,     # two backward flows, 0.3 ms, per sample (2-node driver)
     "trace_count": 4096,          # one upward flow, 0.6 ms, per tip
-    "quad_level": 8192,           # FFT chordal sums: construct 0.3-0.8 s and 7 MiB at the cap
-    "boundary_samples": 65536,    # 360 bytes of JSON and 0.13 ms per sample
+    "quad_level": 65536,          # FFT chordal sums: construct 2.8 s and 109 MiB at the cap
+    "boundary_samples": 65536,    # 360 bytes of JSON and 0.04 ms per sample
     "profile_samples": 32768,     # as welding_samples
     "window_samples": 8192,       # mean oscillation in row blocks: 2 MiB, 0.2 s at the cap
     "qs_positions": 1 << 20,      # about 140 bytes and 2 us per position
@@ -247,10 +247,6 @@ def _cmd_analyze(args, outputs: list) -> int:
     return 0
 
 
-def _complex_pairs(th, z):
-    return [[float(a), float(b.real), float(b.imag)] for a, b in zip(th, z)]
-
-
 def _cmd_construct(args, outputs: list) -> int:
     cfg = RunConfig(
         "construct",
@@ -272,10 +268,9 @@ def _cmd_construct(args, outputs: list) -> int:
 
     j_dec = psi_j_decomposition(psi, m=args.quad_level, agree_tol=args.agree_tol)
 
-    h_ev = built["h"]
-    h_bnd = np.array([h_ev(complex(np.exp(1j * a))) for a in th])
+    h_bnd = built["h"](np.exp(1j * th))
 
-    q_ev, mu_q = built["q"], built["mu_q"]
+    mu_q = built["mu_q"]
     maps = {
         "tau": {
             "kind": "endpoint_normalizer",
@@ -285,7 +280,7 @@ def _cmd_construct(args, outputs: list) -> int:
                 "alpha_plus": w.alpha_plus.angle,
                 "alpha_minus": w.alpha_minus.angle,
             },
-            "boundary_samples": [[float(a), float(tau.apply_angle(a))] for a in th],
+            "boundary_samples": np.column_stack((th, tau.apply_angle(th))).tolist(),
         },
         "psi": {
             "kind": "welding_circle_extension",
@@ -294,20 +289,20 @@ def _cmd_construct(args, outputs: list) -> int:
                             "start": p.arc.start.angle,
                             "end": p.arc.end.angle} for p in psi.pieces],
             },
-            "boundary_samples": [[float(a), float(psi.apply_angle(a))] for a in th],
+            "boundary_samples": np.column_stack((th, psi.apply_angle(th))).tolist(),
             "j_decomposition": j_dec,
         },
         "h": {
             "kind": "disk_slit_parametrization",
             "parameters": {"beta": built["beta"], "c": built["c"],
                            "t_slit": built["t_slit"]},
-            "boundary_samples": _complex_pairs(th, h_bnd),
+            "boundary_samples": np.column_stack((th, h_bnd.real, h_bnd.imag)).tolist(),
         },
         "q": {
             "kind": "interior_shear",
             "parameters": {"r": built["r_q"], "u0": built["u0"],
                            "beta": built["beta"], "mu_bound": mu_q.k_bound},
-            "boundary_samples": [[float(a), float(a)] for a in th],
+            "boundary_samples": np.column_stack((th, th)).tolist(),
         },
     }
 
@@ -439,7 +434,7 @@ def _selftest_checks():
         built = welding_construction(w)
         th = np.linspace(-math.pi, math.pi, 50, endpoint=False)
         gap = built["psi"].apply_angle(th) - th
-        assert np.max(np.abs(np.mod(gap + math.pi, 2.0 * math.pi) - math.pi)) < 1e-8
+        assert np.max(np.abs(canonical_angle(gap))) < 1e-8
         assert abs(built["t_slit"] - t_slit) < 1e-9
 
     def shear_map_anchors():
@@ -473,7 +468,7 @@ def _selftest_checks():
         th = np.linspace(-math.pi, math.pi, 40, endpoint=False)
         a = big.apply_angle(th)
         b = big.apply_angle(-th)
-        assert np.max(np.abs(np.mod(a + b + math.pi, 2.0 * math.pi) - math.pi)) < 1e-9
+        assert np.max(np.abs(canonical_angle(a + b))) < 1e-9
 
     return [
         ("mobius triple anchors", mobius_anchors),

@@ -49,12 +49,7 @@ _RESIDUAL_SAMPLES = 400     # interior samples of capital_psi_composite_residual
 _POINCARE_AGREE_TOL = 0.02  # relative agreement of poincare_l2_integral's two levels
 
 
-def _canon(a):
-    """Vectorized reduction to (-pi, pi]."""
-    return -(np.mod(-np.asarray(a, dtype=float) + math.pi, TWO_PI) - math.pi)
-
-
-def _circle_dist(a: float, b: float) -> float:
+def _circle_dist(a, b):
     return abs(canonical_angle(a - b))
 
 
@@ -73,6 +68,9 @@ class PiecewiseCircleMap:
 
     Pieces must chain head to tail around the circle; values are checked to
     agree at every junction and the assembled map to be globally monotone.
+    A piece's angle rule receives a float array and may return any lift of
+    its images: apply_angle reduces the assembled output once, with
+    canonical_angle.
     """
 
     def __init__(self, pieces: list[CirclePiece]):
@@ -119,7 +117,7 @@ class PiecewiseCircleMap:
         return float(out[0]) if scalar else out
 
     def apply_angle(self, theta):
-        return self._by_piece(theta, [p.angle_map for p in self.pieces])
+        return canonical_angle(self._by_piece(theta, [p.angle_map for p in self.pieces]))
 
     def log_deriv_angle(self, theta):
         return self._by_piece(theta, [p.log_deriv for p in self.pieces])
@@ -165,18 +163,15 @@ def build_psi(w: Welding) -> PiecewiseCircleMap:
     """
     chi, chi_ld = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
 
-    def zero(th):
-        return np.zeros_like(np.asarray(th, dtype=float))
-
     pieces = [
-        CirclePiece(arc(0.0, math.pi), lambda th: _canon(th), zero, "identity"),
+        CirclePiece(arc(0.0, math.pi), lambda th: th, np.zeros_like, "identity"),
         CirclePiece(arc(math.pi, -_HALF_PI),
-                    lambda th: _canon(math.pi - chi(np.asarray(th) - math.pi)),
-                    lambda th: chi_ld(np.asarray(th, dtype=float) - math.pi),
+                    lambda th: math.pi - chi(th - math.pi),
+                    lambda th: chi_ld(th - math.pi),
                     "reflected conjugated welding"),
         CirclePiece(arc(-_HALF_PI, 0.0),
-                    lambda th: _canon(chi(-np.asarray(th, dtype=float))),
-                    lambda th: chi_ld(-np.asarray(th, dtype=float)),
+                    lambda th: chi(-th),
+                    lambda th: chi_ld(-th),
                     "conjugated welding"),
     ]
     return PiecewiseCircleMap(pieces)
@@ -233,22 +228,14 @@ def reflect_half_extension(psi_half: ArcHomeomorphism) -> PiecewiseCircleMap:
     right = arc(-_HALF_PI, _HALF_PI)
     _check_self_map(psi_half, right, "psi_half", "the right half circle", "-i and i")
 
-    def direct(th):
-        return _canon(psi_half.angle_map(np.asarray(th, dtype=float)))
-
     def direct_ld(th):
-        rel = np.mod(np.asarray(th, dtype=float) - right.start.angle, TWO_PI)
-        return psi_half.log_deriv_offset(rel)
-
-    def mirrored(th):
-        return _canon(math.pi - direct(_canon(math.pi - np.asarray(th, dtype=float))))
-
-    def mirrored_ld(th):
-        return direct_ld(_canon(math.pi - np.asarray(th, dtype=float)))
+        return psi_half.log_deriv_offset(np.mod(th - right.start.angle, TWO_PI))
 
     return PiecewiseCircleMap([
-        CirclePiece(right, direct, direct_ld, "half map"),
-        CirclePiece(arc(_HALF_PI, -_HALF_PI), mirrored, mirrored_ld, "reflection"),
+        CirclePiece(right, psi_half.angle_map, direct_ld, "half map"),
+        CirclePiece(arc(_HALF_PI, -_HALF_PI),
+                    lambda th: math.pi - psi_half.angle_map(math.pi - th),
+                    lambda th: direct_ld(math.pi - th), "reflection"),
     ])
 
 
@@ -262,25 +249,24 @@ def build_capital_psi(inner: ArcHomeomorphism) -> PiecewiseCircleMap:
     quarter = arc(0.0, _HALF_PI)
     _check_self_map(inner, quarter, "inner", "the arc from 1 to i", "1 and i")
 
-    def ia(th):
-        return _canon(inner.angle_map(np.asarray(th, dtype=float)))
+    ia = inner.angle_map
 
     def ild(th):
-        return inner.log_deriv_offset(np.mod(np.asarray(th, dtype=float), TWO_PI))
+        return inner.log_deriv_offset(np.mod(th, TWO_PI))
 
     return PiecewiseCircleMap([
         CirclePiece(quarter, ia, ild, "inner"),
         CirclePiece(arc(_HALF_PI, math.pi),
-                    lambda th: _canon(math.pi - ia(math.pi - np.asarray(th, dtype=float))),
-                    lambda th: ild(math.pi - np.asarray(th, dtype=float)),
+                    lambda th: math.pi - ia(math.pi - th),
+                    lambda th: ild(math.pi - th),
                     "second quadrant reflection"),
         CirclePiece(arc(math.pi, -_HALF_PI),
-                    lambda th: _canon(math.pi + ia(np.asarray(th, dtype=float) - math.pi)),
-                    lambda th: ild(np.asarray(th, dtype=float) - math.pi),
+                    lambda th: math.pi + ia(th - math.pi),
+                    lambda th: ild(th - math.pi),
                     "antipodal copy"),
         CirclePiece(arc(-_HALF_PI, 0.0),
-                    lambda th: _canon(-ia(-np.asarray(th, dtype=float))),
-                    lambda th: ild(-np.asarray(th, dtype=float)),
+                    lambda th: -ia(-th),
+                    lambda th: ild(-th),
                     "conjugated copy"),
     ])
 
@@ -296,9 +282,7 @@ def capital_psi_composite_residual(big_psi: PiecewiseCircleMap,
     inv = inner.inverse()
     th = np.linspace(-_HALF_PI, 0.0, _RESIDUAL_SAMPLES + 2)[1:-1]
     img = big_psi.apply_angle(th)
-    undone = -_canon(inv.angle_map(-img))
-    d = np.abs(_canon(undone - th))
-    return float(d.max())
+    return float(np.max(_circle_dist(-inv.angle_map(-img), th)))
 
 
 def _cayley(z):

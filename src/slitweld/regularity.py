@@ -37,7 +37,6 @@ __all__ = [
     "h_half_seminorm",
     "h_half_seminorm_detail",
     "wp_cross_condition",
-    "vmo_modulus",
     "vmo_curve",
     "bmo_norm",
     "qs_constant",
@@ -232,19 +231,6 @@ def wp_cross_condition(w: Welding, m: int = 256, include_alpha_cells: bool = Fal
     }
 
 
-def _window_setup(u, samples: int):
-    f, dom = _resolve(u)
-    if dom is None:
-        span = TWO_PI
-        start = 0.0
-    else:
-        span = dom.length
-        start = dom.start.angle
-    h = span / samples
-    vals = f(start + (np.arange(samples) + 0.5) * h)
-    return vals, span, h, dom is None
-
-
 def _mean_oscillation(vals, scale: float, h: float, periodic: bool) -> float:
     """Largest mean oscillation of the samples vals over windows of length scale."""
     samples = vals.size
@@ -263,31 +249,27 @@ def _mean_oscillation(vals, scale: float, h: float, periodic: bool) -> float:
     return float(osc.max())
 
 
-def vmo_modulus(u, scale: float, samples: int = 2048) -> float:
-    """Largest mean oscillation over windows of the given arc length."""
-    vals, span, h, periodic = _window_setup(u, samples)
-    if not 0.0 < scale <= span + 1e-12:
-        raise ValidationError("window scale must lie in (0, span]")
-    return _mean_oscillation(vals, scale, h, periodic)
-
-
 def vmo_curve(u, samples: int = 2048) -> list:
-    """[scale, vmo_modulus] pairs at the dyadic scales span, span / 2, ...
+    """[scale, largest mean oscillation] pairs at the dyadic scales span, span / 2, ...
 
-    Scales stop before a window would hold fewer than _MIN_WINDOW samples.
-    u is sampled once for all scales.
+    The windows are arcs of length scale; u is sampled once, at the midpoints
+    of samples equal cells, for all scales.  Scales stop before a window would
+    hold fewer than _MIN_WINDOW samples.
     """
-    vals, span, h, periodic = _window_setup(u, samples)
+    f, dom = _resolve(u)
+    span, start = (TWO_PI, 0.0) if dom is None else (dom.length, dom.start.angle)
+    h = span / samples
+    vals = f(start + (np.arange(samples) + 0.5) * h)
     curve = []
     scale = span
     while scale / h >= _MIN_WINDOW:
-        curve.append([scale, _mean_oscillation(vals, scale, h, periodic)])
+        curve.append([scale, _mean_oscillation(vals, scale, h, dom is None)])
         scale *= 0.5
     return curve
 
 
 def bmo_norm(u, samples: int = 2048) -> float:
-    """Supremum of vmo_modulus over dyadic window scales."""
+    """Supremum of the mean oscillation over the dyadic window scales of vmo_curve."""
     return max((m for _, m in vmo_curve(u, samples)), default=0.0)
 
 

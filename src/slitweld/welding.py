@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcfun import ArcFunction, ArcHomeomorphism
-from .circle import TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, mobius_from_triple
+from .circle import (TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, canonical_angle,
+                     mobius_from_triple)
 from .errors import ExtractionError, ValidationError
 from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, _absorbed_angle,
                       slit_preimage_endpoints, upward_flow)
@@ -108,8 +109,7 @@ class Welding:
             dm = np.clip(delta[rest] - TWO_PI, self.theta_minus[-1], 0.0)
             t = np.interp(-dm, -self.theta_minus, self.times)
             out[rest] = np.interp(t, self.times, self.theta_plus)
-        out = np.mod(out + math.pi, TWO_PI) - math.pi
-        return out if out.ndim else float(out)
+        return canonical_angle(out)
 
 
 def welding_log_derivative(w: Welding) -> ArcFunction:

@@ -219,6 +219,16 @@ def test_construct_closed_form(workdir, driver_path, closed_form_path):
     assert {"J1", "J2", "J3", "J4", "J5", "J6"} <= set(jd)
     assert len(maps["h"]["boundary_samples"]) == 16
     assert len(maps["h"]["boundary_samples"][0]) == 3
+    # one array call per map gives what one scalar call per sample gives
+    built = constructions.welding_construction(load_welding_csv(closed_form_path))
+    for name in ("tau", "psi"):
+        samples = np.array(maps[name]["boundary_samples"])
+        assert samples.shape == (16, 2)
+        ref = [built[name].apply_angle(float(a)) for a in samples[:, 0]]
+        assert np.max(np.abs(samples[:, 1] - ref)) <= 4.4e-16
+    h_samples = np.array(maps["h"]["boundary_samples"])
+    h_ref = [built["h"](complex(np.exp(1j * a))) for a in h_samples[:, 0]]
+    assert np.max(np.abs(h_samples[:, 1] + 1j * h_samples[:, 2] - h_ref)) <= 4.4e-16
     comp = doc["composite"]
     assert comp["f0_abs"] < 1e-5
     assert comp["pair_residual_max"] < 5e-3

@@ -24,7 +24,7 @@ from slitweld.regularity import (
     loewner_energy,
     mr_constant,
     qs_constant,
-    vmo_modulus,
+    vmo_curve,
     wp_cross_condition,
 )
 from slitweld.welding import (
@@ -111,16 +111,13 @@ def test_seminorm_jump_raises_accuracy_error():
     assert d["agreement"] > 0.01
 
 
-def test_vmo_modulus_smooth_scaling():
-    u = lambda th: np.cos(th)
-    small = vmo_modulus(u, 0.05)
+def test_vmo_curve_smooth_scaling():
+    curve = vmo_curve(np.cos)
+    scale = 2.0 * math.pi / 128
+    (small,) = [m for s, m in curve if s == scale]
     # locally linear with peak slope 1: mean oscillation ~ scale / 4
-    assert abs(small - 0.05 / 4.0) < 0.1 * 0.05
-    assert small < vmo_modulus(u, 1.0)
-    with pytest.raises(ValidationError):
-        vmo_modulus(u, 0.0)
-    with pytest.raises(ValidationError):
-        vmo_modulus(u, 7.0)
+    assert abs(small - scale / 4.0) < 0.1 * scale
+    assert all(small < m for s, m in curve if s > scale)
 
 
 def test_bmo_dominated_by_seminorm(rng):
