@@ -53,8 +53,9 @@ _COUNT_MINIMUMS = {
 # Caps keep one stage within about 256 MiB of working memory and about a
 # minute on a 2-core x86-64 machine; the costs behind them, measured there:
 _COUNT_MAXIMUMS = {
-    "welding_samples": 32768,     # two backward flows, 0.3 ms, per sample (2-node driver)
-    "trace_count": 4096,          # one upward flow, 0.6 ms, per tip
+    "welding_samples": 32768,     # one angle sweep, 0.7 us per sample and cell; _SWEEP_WORK
+    "trace_count": 4096,          # tips born in one cell share a run there: 33 ms for 4096
+                                  # on a 2-node driver, one flow of 0.7 ms per tip on 256 cells
     "quad_level": 65536,          # FFT chordal sums: construct 2.8 s and 109 MiB at the cap
     "boundary_samples": 65536,    # 360 bytes of JSON and 0.04 ms per sample
     "profile_samples": 32768,     # as welding_samples
@@ -116,6 +117,24 @@ class RunConfig:
         }
 
 
+# Bound on driver cells x (samples + _SWEEP_CELL_SAMPLES) for weld and
+# trace --profile-samples.  An angle sweep costs about 0.7 us per sample and
+# cell, and weld's two sweeps about 0.3 ms per cell on top, less than 512
+# samples cost; so a run at the bound takes about 12 s on a 2-core x86-64
+# machine.
+_SWEEP_WORK = 1 << 24
+_SWEEP_CELL_SAMPLES = 512
+
+
+def _check_sweep(d: DrivingTerm, name: str, samples: int):
+    """Reject an angle sweep whose work exceeds _SWEEP_WORK before it starts."""
+    cells = d.grid.size - 1
+    if cells * (samples + _SWEEP_CELL_SAMPLES) > _SWEEP_WORK:
+        raise ValidationError(
+            f"driver cells x ({name} + {_SWEEP_CELL_SAMPLES}) = {cells} x "
+            f"({samples} + {_SWEEP_CELL_SAMPLES}) exceeds {_SWEEP_WORK}")
+
+
 def _load_flow_driver(path: str) -> DrivingTerm:
     """A driver for a stage that runs full-horizon flows.
 
@@ -139,6 +158,8 @@ def _cmd_trace(args, outputs: list) -> int:
         counts={"trace_count": args.count, "profile_samples": args.profile_samples},
     )
     d = _load_flow_driver(args.driver)
+    if args.profile_out:
+        _check_sweep(d, "profile_samples", args.profile_samples)
     outputs.append(args.out)
     samples = trace_curve(d, args.count)
     save_trace_csv(args.out, [s.t for s in samples], [s.tip for s in samples],
@@ -161,7 +182,8 @@ def _cmd_weld(args, outputs: list) -> int:
         outputs=(args.out,),
         counts={"welding_samples": args.samples},
     )
-    d = _load_flow_driver(args.driver)
+    d = load_driver(args.driver)
+    _check_sweep(d, "welding_samples", args.samples)
     outputs.append(args.out)
     w = extract_welding(d, args.samples)
     save_welding_csv(args.out, w)

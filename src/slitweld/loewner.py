@@ -16,10 +16,19 @@ cap the step by _C_STEP * Delta^2, where Delta is the distance to the current
 singularity, and boundary trajectories terminate when they come within
 _EPS_HIT of the driver angle.
 
-Flows born at the singularity need no cap: the angles absorbed at a given
-time run backward from it in the chart v = (theta - sigma)^2, the trace tips
-run upward from it in the chart q = (1 - g / xi)^2, and both are smooth
-there once the birth cell runs in the time chart r = rho^2.
+Flows born at the singularity are autonomous on a cell once they move with
+sigma, and both kinds use that.  The angle absorbed at time t runs backward
+from the singularity in the chart w = |theta - sigma|, where a cell of slope
+c gives dw/dr = cot(w/2) + c in reversed time r.  That separates: with
+F_c(w) = (2/R^2)[c w/2 - ln|cos(w/2) + c sin(w/2)|], R^2 = 1 + c^2, a cell
+of length Delta maps w to F_c^-1(F_c(w) + Delta), the exact linear-driver
+solution of Kager, Nienhuis and Kadanoff (J. Stat. Phys. 2004) taken cell by
+cell.  So the angles of every absorption time, on both sides, are swept from
+the top cell down as one array, one Newton solve per cell.  The trace tips
+run upward from the singularity in the chart q = (1 - g / xi)^2, whose field
+depends only on the cell's slope, so all tips born in one cell share one
+DP5(4) run there, in the time chart rho = sqrt(r) where it is smooth; each
+tip then continues alone through the later cells.
 """
 
 from __future__ import annotations
@@ -259,17 +268,15 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, stop=None, record=None, h
 
 
 def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams,
-          guard=None, record=None, born=False):
+          guard=None, record=None):
     """Integrate y from driver time start to end, one _dp54 run per driver cell.
 
     Time runs forward when end > start and backward otherwise.  On a cell
     entered at a, sigma = sigma_a + rate r with r = |s - a|; field(sigma_a,
     rate) is dy/dr there and guard(sigma_a, rate), if given, the (cap, stop)
-    pair.  The step size and the step budget carry across cells.  A born
-    flow starts at the singularity and grows like 2 sqrt(r), so its first
-    cell runs in rho = sqrt(r), where it is smooth.  Returns (r, y, stopped,
-    err) in the flow's time r = |s - start|, as record(r, y) gets it; err
-    sums the embedded error estimates of all steps.
+    pair.  The step size and the step budget carry across cells.  Returns
+    (r, y, stopped) in the flow's time r = |s - start|, as record(r, y) gets
+    it.
     """
     forward = end > start
     if forward:
@@ -278,7 +285,7 @@ def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams
     else:
         nodes = [start] + d.breaks_in(end, start)[::-1] + [end]
         cell, step, side = bisect.bisect_left(d._g, start) - 1, -1, 1
-    h, err, steps = None, 0.0, 0
+    h, steps = None, 0
 
     def clock(t):   # the flow's time; r0 is read when called, at the current cell
         return r0 + t
@@ -286,26 +293,17 @@ def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams
     rec = None if record is None else (lambda t, z: record(r0 + t, z))
     for a, b in zip(nodes, nodes[1:]):
         slope = d._slope[cell]
-        # born charts move with sigma, so skip it; cell + side: node on the side of a
-        sigma = 0.0 if born else d._s[cell + side] + slope * (a - d._g[cell + side])
+        # cell + side: the cell's node on the side of a
+        sigma = d._s[cell + side] + slope * (a - d._g[cell + side])
         rate = slope if forward else -slope
-        rhs = field(sigma, rate)
         cell += step
-        span = abs(b - a)
-        if born and a == start:   # r = rho^2, so dy/drho = 2 rho dy/dr
-            rho = math.sqrt(span)
-            _, y, _, h, e, steps = _dp54(lambda x, z: 2.0 * x * rhs(x * x, z), 0.0, rho, y,
-                                         params, steps=steps, clock=lambda x: x * x)
-            h *= 2.0 * rho   # the next rho step, as a step in r
-        else:
-            r0 = a - start if forward else start - a
-            cap, stop = (None, None) if guard is None else guard(sigma, rate)
-            t, y, stopped, h, e, steps = _dp54(rhs, 0.0, span, y, params, cap, stop, rec, h,
-                                               steps, clock)
-            if stopped:
-                return r0 + t, y, True, err + e
-        err += e
-    return abs(end - start), y, False, err
+        r0 = a - start if forward else start - a
+        cap, stop = (None, None) if guard is None else guard(sigma, rate)
+        t, y, stopped, h, _, steps = _dp54(field(sigma, rate), 0.0, abs(b - a), y, params,
+                                           cap, stop, rec, h, steps, clock)
+        if stopped:
+            return r0 + t, y, True
+    return abs(end - start), y, False
 
 
 def _validate_time(d: DrivingTerm, t: float) -> float:
@@ -368,7 +366,7 @@ def _disk_flow(d: DrivingTerm, z: complex, t: float, params: FlowParams, up: boo
         return cap, (None if up else stop)
 
     start, end = (0.0, t) if up else (d.T, d.T - t)
-    s_end, y, hit, _ = _walk(d, start, end, complex(z), field, params, guard)
+    s_end, y, hit = _walk(d, start, end, complex(z), field, params, guard)
     if hit:
         raise HitSingularityError(s_end)
     return y
@@ -419,28 +417,125 @@ def boundary_flow(d: DrivingTerm, theta0: float, t_end: float,
     return np.array(ts), np.array(ths), hit
 
 
-def _angle_field(sigma: float, rate: float):
-    """Angle flow in reversed time r, in the chart v = (theta - sigma)^2.
+_NEWTON_MAX = 60        # Newton iterations a cell map may take
+_NEWTON_TOL = 1e-14     # a cell map stops at a step or bracket below _NEWTON_TOL * max(1, w)
 
-    dv/dr = 2 w cot(w/2) - 2 w rate with w = sqrt(v) and rate = dsigma/dr,
-    finite at v = 0 because w cot(w/2) -> 2; rate carries the side's sign.
-    The chart moves with sigma, so the field does not depend on it.
+
+def _cell_time(w, c):
+    """(F_c(w), cot(w/2) + c) for the angle flow dw/dr = cot(w/2) + c of a cell.
+
+    F_c(w) = (2/R^2)[c w/2 - ln|cos(w/2) + c sin(w/2)|], R^2 = 1 + c^2, is
+    the reversed time the flow takes from 0 to w below the fixed point
+    w* = pi + 2 atan c, and an antiderivative of 1 / (cot(w/2) + c) on either
+    side of it.  The logarithm's argument is 1 + x with x = c sin(w/2) -
+    2 sin^2(w/4), so the logarithm is log1p(x) below w*, exact near w = 0,
+    and log1p(-2 - x) above it; the rate is (1 + x) / sin(w/2).
     """
-    def rhs(r, v):
-        if v <= 0.0:
-            return 4.0
-        w = math.sqrt(v)
-        return 2.0 * w * (1.0 / math.tan(0.5 * w) - rate)
-
-    return rhs
+    half = np.sin(0.5 * w)
+    x = c * half - 2.0 * np.sin(0.25 * w) ** 2
+    log = np.log1p(np.where(x > -1.0, x, -2.0 - x))
+    return (2.0 / (1.0 + c * c)) * (0.5 * c * w - log), (1.0 + x) / half
 
 
-def _tip_field(sigma: float, slope: float):
+def _cell_map(w, dt, c):
+    """Angles w after reversed time dt on a cell of slope c: F_c^-1(F_c(w) + dt).
+
+    Each w moves monotonically toward the fixed point w* and never reaches
+    it, so the root lies in [w, w*) or (w*, w].  Newton starts from an Euler
+    step, or from 2 sqrt(dt) at w = 0 where w ~ 2 sqrt(r).  An iterate on a
+    bracket end is kept; one outside the bracket is replaced by the point
+    halfway between the ends in log distance to w*, which reaches a root
+    exponentially close to w* in a few steps.
+    """
+    wstar = 2.0 * np.arctan2(1.0, -c)   # pi + 2 atan c, without cancellation at c << -1
+    time, rate = _cell_time(w, c)
+    target = time + dt
+    side = np.where(w > wstar, 1.0, -1.0)
+    lo = np.where(side > 0.0, np.nextafter(wstar, math.inf), w)
+    hi = np.where(side > 0.0, w, np.nextafter(wstar, -math.inf))
+
+    def inside(x):   # x, or where it left the bracket the midpoint in log distance to w*
+        out = ~((x >= lo) & (x <= hi))
+        if not out.any():
+            return x
+        return np.where(out, wstar + side * np.sqrt((lo - wstar) * (hi - wstar)), x)
+
+    x = inside(np.where(w == 0.0, 2.0 * np.sqrt(dt), w + dt * rate))
+    for _ in range(_NEWTON_MAX):
+        time, rate = _cell_time(x, c)
+        step = (target - time) * rate
+        lo = np.where(step > 0.0, x, lo)
+        hi = np.where(step < 0.0, x, hi)
+        x = inside(x + step)
+        # the step is below tolerance, or the bracket is (a root exponentially
+        # close to w* may lie beyond the last float before it)
+        tol = _NEWTON_TOL * np.maximum(1.0, x)
+        done = np.abs(step) <= tol
+        if done.all() or (done | (hi - lo <= tol)).all():
+            return x
+    raise DiagnosticsError(f"angle cell map did not converge in {_NEWTON_MAX} Newton steps")
+
+
+def _absorbed_angles(d: DrivingTerm, times) -> np.ndarray:
+    """Start angles absorbed at the increasing times: rows plus side, minus side.
+
+    Sweeps the driver cells from the top down.  On a cell, every angle
+    absorbed above its lower node moves by the exact cell map in the chart
+    w = |theta - sigma|, with c = sign * dsigma/ds; an angle absorbed inside
+    the cell starts there at w = 0.  At s = 0, sigma = 0, so theta = sign * w.
+    """
+    times = np.asarray(times, dtype=float)
+    slope = np.asarray(d._slope)
+    c = np.stack([slope, -slope])
+    first = np.searchsorted(times, d.grid[:-1], side="right")   # first time above each node
+    w = np.zeros((2, times.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(int(np.searchsorted(d.grid, times[-1])) - 1, -1, -1):
+            k = first[i]
+            dt = np.minimum(times[k:], d.grid[i + 1]) - d.grid[i]
+            w[:, k:] = _cell_map(w[:, k:], dt, c[:, i:i + 1])
+    if not np.all(np.isfinite(w)):
+        raise DiagnosticsError("the angle sweep produced a non-finite angle")
+    w[1] = -w[1]
+    return w
+
+
+def slit_preimage_endpoints(d: DrivingTerm):
+    """Endpoints (alpha_minus, alpha_plus) of the slit preimage arc.
+
+    They are the two start angles absorbed at the horizon T, from one sweep
+    of the exact cell maps down from the singularity at T.
+    """
+    ap, am = _absorbed_angles(d, [d.T])[:, 0].tolist()
+    return CirclePoint(am), CirclePoint(ap)
+
+
+def hitting_profile(d: DrivingTerm, n: int = 32):
+    """Sampled hitting-time profiles (plus side, minus side).
+
+    The times are k T / n for k = 1 .. n and each angle is the start angle
+    absorbed at that time, so the last one is the arc endpoint.  One sweep
+    of the exact cell maps gives every angle on both sides; strict
+    monotonicity of the angles is enforced.
+    """
+    if n < 2:
+        raise ValidationError("need at least 2 profile samples")
+    times = d.T * (np.arange(1, n + 1) / n)
+    profiles = []
+    for side, sign, angles in zip(("plus", "minus"), (1.0, -1.0), _absorbed_angles(d, times)):
+        if np.any(np.diff(sign * angles) <= 0.0):
+            raise DiagnosticsError(f"hitting angles not strictly monotone on the {side} side")
+        profiles.append(HittingProfile(side, angles, times))
+    return tuple(profiles)
+
+
+def _tip_field(slope: float):
     """Upward flow from the singularity, in the chart q = (1 - g / xi(s))^2.
 
     With p = sqrt(q) = 1 - g / xi(s), dq/ds = 2 (1 - p) (2 - p + i slope p),
     finite at q = 0.  The flow stays inside the disk, so Re p > 0 and the
-    principal square root is the right branch; the chart turns with xi(s).
+    principal square root is the right branch; the chart turns with xi(s), so
+    the field depends on the cell's slope alone.
     """
     def rhs(r, q):
         p = cmath.sqrt(q)
@@ -449,47 +544,56 @@ def _tip_field(sigma: float, slope: float):
     return rhs
 
 
-def _absorbed_angle(d: DrivingTerm, t: float, sign: float, params: FlowParams) -> float:
-    """Start angle absorbed at time t, on the plus side (sign 1) or minus side (-1).
+def _trace_samples(d: DrivingTerm, times, params: FlowParams):
+    """Trace samples at the given times in (0, T], in their order.
 
-    Integrates the angle flow backward from the singularity at time t down to
-    s = 0, in the chart v = u^2 of u = theta - sigma.  Returns sign * sqrt(v)
-    at s = 0, where sigma(0) = 0.
+    The tip at t is the upward flow from the singularity at s = T - t to T.
+    Its birth cell, from s to the cell's upper node, runs in rho = sqrt(r)
+    with r the time since s, where the flow is smooth, and every tip born in
+    one cell follows the same q(rho) there: one _dp54 run per birth cell
+    snaps to each tip's rho in increasing order.  A tip is charged the steps
+    of that run up to its own rho, less the one step that snapped to each
+    earlier tip, so a crowded cell does not exhaust the budget of a tip whose
+    own flow needs few steps.  Each tip then continues alone through the
+    later cells, from the run's step size and its charge.
     """
-    v = _walk(d, t, 0.0, 0.0, lambda sigma, rate: _angle_field(sigma, sign * rate), params,
-              born=True)[1]
-    return sign * math.sqrt(v)
+    g, n = d._g, len(d._slope)
+    births = {}
+    for j, t in enumerate(times):
+        s = d.T - t
+        cell = bisect.bisect_right(g, s) - 1
+        births.setdefault(cell, []).append((g[cell + 1] - s, j, s))
+    xi_end = d.xi_at(d.T)
+    out = [None] * len(times)
+    for cell, tips in births.items():
+        birth = _tip_field(d._slope[cell])
 
+        def f(x, z):   # r = rho^2, so dq/drho = 2 rho dq/dr
+            return 2.0 * x * birth(x * x, z)
 
-def slit_preimage_endpoints(d: DrivingTerm,
-                            params: FlowParams = DEFAULT_FLOW_PARAMS):
-    """Endpoints (alpha_minus, alpha_plus) of the slit preimage arc.
-
-    They are the two start angles absorbed at the horizon T, each found by one
-    backward flow from the singularity at T.
-    """
-    return (CirclePoint(_absorbed_angle(d, d.T, -1.0, params)),
-            CirclePoint(_absorbed_angle(d, d.T, 1.0, params)))
-
-
-def hitting_profile(d: DrivingTerm, n: int = 32,
-                    params: FlowParams = DEFAULT_FLOW_PARAMS):
-    """Sampled hitting-time profiles (plus side, minus side).
-
-    The times are k T / n for k = 1 .. n and each angle is the start angle
-    absorbed at that time, so the last one is the arc endpoint; strict
-    monotonicity of the angles is enforced.
-    """
-    if n < 2:
-        raise ValidationError("need at least 2 profile samples")
-    times = d.T * (np.arange(1, n + 1) / n)
-    profiles = []
-    for side, sign in (("plus", 1.0), ("minus", -1.0)):
-        angles = np.array([_absorbed_angle(d, float(t), sign, params) for t in times])
-        if np.any(np.diff(sign * angles) <= 0.0):
-            raise DiagnosticsError(f"hitting angles not strictly monotone on the {side} side")
-        profiles.append(HittingProfile(side, angles, times))
-    return tuple(profiles)
+        rho, q, h, err, steps = 0.0, 0.0, None, 0.0, 0
+        for span, j, s in sorted(tips):
+            target = math.sqrt(span)
+            if target > rho:
+                if rho > 0.0:
+                    steps -= 1   # the step that snapped to the previous tip was its own
+                _, q, _, h, e, steps = _dp54(f, rho, target, q, params, h=h, steps=steps,
+                                             clock=lambda x: x * x)
+                err += e
+                rho = target
+            q_tip, h_tip, err_tip, steps_tip = q, h * (2.0 * rho), err, steps
+            for k in range(cell + 1, n):
+                r0 = g[k] - s
+                _, q_tip, _, h_tip, e, steps_tip = _dp54(
+                    _tip_field(d._slope[k]), 0.0, g[k + 1] - g[k], q_tip, params, h=h_tip,
+                    steps=steps_tip, clock=lambda x: r0 + x)
+                err_tip += e
+            p = cmath.sqrt(q_tip)
+            out[j] = TraceSample(times[j], xi_end * (1.0 - p), err_tip / (2.0 * abs(p)))
+    for sample in out:
+        if sample.residual > _TRACE_RESIDUAL_TOL:
+            raise TraceError(sample.residual)
+    return out
 
 
 def trace_point(d: DrivingTerm, t: float,
@@ -502,17 +606,15 @@ def trace_point(d: DrivingTerm, t: float,
     """
     if not 0.0 < t <= d.T:
         raise ValidationError("trace time must lie in (0, T]")
-    _, q, _, err = _walk(d, d.T - t, d.T, 0.0, _tip_field, params, born=True)
-    p = cmath.sqrt(q)
-    residual = err / (2.0 * abs(p))
-    if residual > _TRACE_RESIDUAL_TOL:
-        raise TraceError(residual)
-    return TraceSample(t, d.xi_at(d.T) * (1.0 - p), residual)
+    return _trace_samples(d, [t], params)[0]
 
 
 def trace_curve(d: DrivingTerm, count: int,
                 params: FlowParams = DEFAULT_FLOW_PARAMS):
-    """Trace samples at count times uniform in (0, T]."""
+    """Trace samples at count times uniform in (0, T], as trace_point gives them.
+
+    Tips born in one driver cell share their run in that cell.
+    """
     if count < 1:
         raise ValidationError("need at least one trace sample")
-    return [trace_point(d, d.T * k / count, params) for k in range(1, count + 1)]
+    return _trace_samples(d, [d.T * k / count for k in range(1, count + 1)], params)

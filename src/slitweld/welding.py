@@ -17,7 +17,7 @@ from .arcfun import ArcFunction, ArcHomeomorphism
 from .circle import (TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, canonical_angle,
                      mobius_from_triple)
 from .errors import ExtractionError, ValidationError
-from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, _absorbed_angle,
+from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, _absorbed_angles,
                       slit_preimage_endpoints, upward_flow)
 
 __all__ = [
@@ -159,17 +159,17 @@ def _conjugated_welding(w: Welding, tau: MobiusCircleMap):
     return chi, chi_ld
 
 
-def extract_welding(d: DrivingTerm, n: int = 256,
-                    params: FlowParams = DEFAULT_FLOW_PARAMS) -> Welding:
+def extract_welding(d: DrivingTerm, n: int = 256) -> Welding:
     """Extract the welding of the slit grown by d on a uniform time grid.
 
-    The two start angles absorbed at t_k = k T / n, k = 1 .. n-1, each come
-    from one backward flow from the singularity at t_k; the arc endpoints from
-    slit_preimage_endpoints close the grid at T.
+    The two start angles absorbed at t_k = k T / n, k = 1 .. n-1, come from
+    one sweep of the exact per-cell angle maps down from the top driver cell,
+    both sides as one array; the arc endpoints from slit_preimage_endpoints
+    close the grid at T.
     """
     if n < 8:
         raise ValidationError("welding resolution must be at least 8")
-    am, ap = slit_preimage_endpoints(d, params)
+    am, ap = slit_preimage_endpoints(d)
     ap_lift = math.fmod(ap.angle, TWO_PI)
     if ap_lift <= 0.0:
         ap_lift += TWO_PI
@@ -181,8 +181,9 @@ def extract_welding(d: DrivingTerm, n: int = 256,
 
     inner = [k * d.T / n for k in range(1, n)]
     times = [0.0] + inner + [d.T]
-    plus = [0.0] + [_absorbed_angle(d, t, 1.0, params) for t in inner] + [ap_lift]
-    minus = [0.0] + [_absorbed_angle(d, t, -1.0, params) for t in inner] + [am_lift]
+    plus, minus = _absorbed_angles(d, inner).tolist()
+    plus = [0.0] + plus + [ap_lift]
+    minus = [0.0] + minus + [am_lift]
 
     try:
         return Welding(np.array(times), np.array(plus), np.array(minus))

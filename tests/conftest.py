@@ -1,8 +1,8 @@
 """Shared fixtures: reference drivers and their extracted weldings.
 
-Each extraction runs two backward flows per welded pair, which is cheap but
-not free on the 256-cell graded driver, so the suite shares one extraction
-per (driver, resolution) across all tests.
+Each extraction sweeps every driver cell with one Newton solve, which is
+cheap but not free on the 256-cell graded driver, so the suite shares one
+extraction per (driver, resolution) across all tests.
 """
 
 from __future__ import annotations

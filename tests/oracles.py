@@ -246,6 +246,37 @@ def scipy_boundary_angle(sigma_fn, theta0: float, t: float,
     return float(sol.y[0, -1])
 
 
+def scipy_absorbed_angle(d, t: float, sign: float, rtol=1e-12, atol=1e-14) -> float:
+    """Start angle absorbed at time t on the plus (sign 1) or minus (-1) side.
+
+    Integrates the angle flow backward from the singularity at t to time 0
+    with DOP853, one run per driver cell, reading only d.grid and d.sigma.
+    On a cell of slope c, w = |theta - sigma| obeys dw/dr = cot(w/2) + sign c
+    in reversed time r; the runs use v = w^2, so dv/dr = 2 w (cot(w/2) +
+    sign c), which tends to 4 at the singularity.  The birth cell runs in
+    rho = sqrt(r), where v = 4 rho^2 + O(rho^3) is smooth.
+    """
+    grid, sigma = np.asarray(d.grid, dtype=float), np.asarray(d.sigma, dtype=float)
+    cell = int(np.searchsorted(grid, t)) - 1
+    v = 0.0
+    for i in range(cell, -1, -1):
+        c = sign * (sigma[i + 1] - sigma[i]) / (grid[i + 1] - grid[i])
+
+        def dv(r, y, c=c):
+            w = math.sqrt(max(y[0], 0.0))
+            return [4.0 if w == 0.0 else 2.0 * w * (1.0 / math.tan(0.5 * w) + c)]
+
+        if i == cell:
+            span, rhs = math.sqrt(t - grid[i]), (lambda x, y: [2.0 * x * dv(x * x, y)[0]])
+        else:
+            span, rhs = grid[i + 1] - grid[i], dv
+        sol = solve_ivp(rhs, (0.0, span), [v], rtol=rtol, atol=atol, method="DOP853")
+        if not sol.success:
+            raise RuntimeError(f"scipy integration failed: {sol.message}")
+        v = float(sol.y[0, -1])
+    return sign * math.sqrt(v)
+
+
 # ---------------------------------------------------- forward boundary flow
 
 def hitting_time(d, theta0: float):

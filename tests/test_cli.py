@@ -371,21 +371,62 @@ def test_driver_with_more_cells_than_a_flow_has_steps_exits_2_before_flows(
     for name in ("trace_curve", "hitting_profile", "extract_welding", "welding_construction",
                  "pair_residuals", "compose_f"):
         monkeypatch.setattr(cli, name, reached)
-    cells = cli.DEFAULT_FLOW_PARAMS.max_steps + 1
-    driver = tmp_path / "fine.json"
-    driver.write_text(json.dumps({"T": 1.0, "grid": np.linspace(0.0, 1.0, cells + 1).tolist(),
-                                  "sigma": [0.0] * (cells + 1)}))
+    driver = _write_fine_driver(tmp_path, cli.DEFAULT_FLOW_PARAMS.max_steps + 1)
     out = tmp_path / "out"
-    for argv in (["trace", "--driver", str(driver), "--out", str(out)],
-                 ["weld", "--driver", str(driver), "--out", str(out)],
-                 ["construct", "--welding", closed_form_path, "--driver", str(driver),
+    for argv in (["trace", "--driver", driver, "--out", str(out)],
+                 ["construct", "--welding", closed_form_path, "--driver", driver,
                   "--out", str(out)]):
         assert main(argv) == 2
         assert not out.exists()
     # analyze runs no flow, so the driver's own functionals still take it
-    assert main(["analyze", "--welding", closed_form_path, "--driver", str(driver),
+    assert main(["analyze", "--welding", closed_form_path, "--driver", driver,
                  "--out", str(out), "--quad-level", "64", "--window-samples", "64",
                  "--qs-positions", "16"]) == 0
+
+
+def _write_fine_driver(tmp_path, cells: int) -> str:
+    driver = tmp_path / "fine.json"
+    driver.write_text(json.dumps({"T": 1.0, "grid": np.linspace(0.0, 1.0, cells + 1).tolist(),
+                                  "sigma": [0.0] * (cells + 1)}))
+    return str(driver)
+
+
+def test_weld_takes_a_driver_finer_than_a_flow_can_cross(tmp_path):
+    # the welded angles come from exact cell maps, not from flow steps, so
+    # only trace keeps the cell cap
+    driver = _write_fine_driver(tmp_path, cli.DEFAULT_FLOW_PARAMS.max_steps + 1)
+    out = tmp_path / "out.csv"
+    assert main(["weld", "--driver", driver, "--out", str(out), "--samples", "8"]) == 0
+    w = load_welding_csv(str(out))
+    want = oracles.radial_theta_of_time(1.0)
+    assert abs(w.theta_plus[-1] - want) < 1e-13 and abs(w.theta_minus[-1] + want) < 1e-13
+    assert main(["trace", "--driver", driver, "--out", str(tmp_path / "t.csv")]) == 2
+
+
+def test_sweep_work_cap_exits_2_before_compute(tmp_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("an angle sweep started above the work cap")
+
+    for name in ("trace_curve", "hitting_profile", "extract_welding"):
+        monkeypatch.setattr(cli, name, reached)
+    cells = 1024
+    over = cli._SWEEP_WORK // cells - cli._SWEEP_CELL_SAMPLES + 1
+    driver = _write_fine_driver(tmp_path, cells)
+    out = tmp_path / "out"
+    assert main(["weld", "--driver", driver, "--out", str(out), "--samples", str(over)]) == 2
+    assert main(["trace", "--driver", driver, "--out", str(out), "--profile-out",
+                 str(tmp_path / "p.csv"), "--profile-samples", str(over)]) == 2
+    assert not out.exists()
+
+
+def test_trace_count_cap_on_the_linear_driver(tmp_path):
+    # all 4096 tips are born in the driver's one cell and share one run there
+    driver = tmp_path / "linear.json"
+    driver.write_text(json.dumps({"T": 1.0, "grid": [0.0, 1.0], "sigma": [0.0, 0.4]}))
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--driver", str(driver), "--out", str(out),
+                 "--count", str(_COUNT_MAXIMUMS["trace_count"])]) == 0
+    assert len(out.read_text().splitlines()) == _COUNT_MAXIMUMS["trace_count"] + 1
 
 
 def test_construct_with_driver_builds_the_chain_once(tmp_path, driver_path, closed_form_path,

@@ -155,8 +155,8 @@ def test_hitting_time_survivor_returns_none(d_const):
 def test_slit_preimage_endpoints_radial(d_const):
     am, ap = slit_preimage_endpoints(d_const)
     want = oracles.radial_alpha(d_const.T)
-    assert abs(ap.angle - want) < 1e-5
-    assert abs(am.angle + want) < 1e-5
+    assert abs(ap.angle - want) <= 1e-13
+    assert abs(am.angle + want) <= 1e-13
 
 
 def test_hitting_profile_radial(d_const):
@@ -196,9 +196,51 @@ def test_trace_and_absorbed_angles_match_precise_flows(d_sqrt):
     tips = trace_curve(d_sqrt, 8)
     precise = trace_curve(d_sqrt, 8, PRECISE_FLOW_PARAMS)
     assert max(abs(a.tip - b.tip) for a, b in zip(tips, precise)) < 1e-8
-    for prof, ref in zip(hitting_profile(d_sqrt, n=8),
-                         hitting_profile(d_sqrt, n=8, params=PRECISE_FLOW_PARAMS)):
-        assert np.max(np.abs(prof.angles - ref.angles)) < 1e-8
+    for prof, sign in zip(hitting_profile(d_sqrt, n=8), (1.0, -1.0)):
+        ref = [oracles.scipy_absorbed_angle(d_sqrt, t, sign) for t in prof.times]
+        assert np.max(np.abs(prof.angles - ref)) < 1e-10
+
+
+# slopes 6 and -6: on the first cell the minus side starts above its fixed
+# point w* = pi - 2 atan 6 and moves down toward it
+_STEEP = ([0.0, 0.5, 1.0], [0.0, 3.0, 0.0])
+
+
+@pytest.mark.parametrize("nodes", [
+    *(oracles.random_lip_half_nodes(np.random.default_rng(seed)) for seed in range(3)), _STEEP,
+], ids=["random0", "random1", "random2", "steep"])
+def test_absorbed_angles_match_scipy_oracle(nodes):
+    d = DrivingTerm(*nodes)
+    times = [0.013, 0.2, 0.37, 0.5, 0.75, 1.0]
+    got = loewner._absorbed_angles(d, times)
+    for row, sign in zip(got, (1.0, -1.0)):
+        ref = [oracles.scipy_absorbed_angle(d, t, sign) for t in times]
+        assert np.max(np.abs(row - ref)) < 1e-10
+    if nodes is _STEEP:
+        assert -got[1, -1] > math.pi - 2.0 * math.atan(6.0)
+
+
+def test_absorbed_angles_settle_on_fixed_points():
+    # slope -100 for unit time: each side ends within exp(-5000) of its fixed
+    # point w* = pi -+ 2 atan 100, closer than any float, so the Newton
+    # bracket collapses before the step does
+    d = DrivingTerm([0.0, 1.0], [0.0, -100.0])
+    plus, minus = loewner._absorbed_angles(d, [0.5, 1.0])
+    assert np.max(np.abs(plus - (math.pi - 2.0 * math.atan(100.0)))) <= 1e-13
+    assert np.max(np.abs(minus + (math.pi + 2.0 * math.atan(100.0)))) <= 1e-13
+
+
+def test_trace_curve_radial_residuals_bound_errors(d_const):
+    # every tip is born in the driver's one cell, so all share one run
+    for s in trace_curve(d_const, 128):
+        err = abs(s.tip - oracles.radial_tip(s.t))
+        assert err < 1e-9
+        assert s.residual >= err
+
+
+def test_trace_curve_matches_trace_point_bit_for_bit(d_sqrt):
+    assert trace_curve(d_sqrt, 8) == [trace_point(d_sqrt, d_sqrt.T * k / 8)
+                                     for k in range(1, 9)]
 
 
 def test_trace_curve_radial_monotone(d_const):
@@ -244,16 +286,19 @@ def test_dp54_bit_identical_to_generic_loop(d_sqrt):
         assert got == want
         return got
 
-    # the angle field in the rho chart of its birth cell
-    angle = loewner._angle_field(0.0, slope)
+    # a real field in the rho chart of a birth cell: the angle flow in the
+    # chart v = w^2, dv/dr = 2 w (cot(w/2) + slope), which is 4 at v = 0
+    def angle(r, v):
+        w = math.sqrt(v)
+        return 4.0 if w == 0.0 else 2.0 * w * (1.0 / math.tan(0.5 * w) + slope)
+
     rho = math.sqrt(0.01)
     both(lambda x, z: 2.0 * x * angle(x * x, z), 0.0, rho, 0.0)
 
     # the complex tip field, on a second cell from the carried step size
-    tip = loewner._tip_field(0.0, slope)
+    tip = loewner._tip_field(slope)
     _, q, _, h, _, steps = both(lambda x, z: 2.0 * x * tip(x * x, z), 0.0, rho, 0.0)
-    both(loewner._tip_field(0.0, d_sqrt._slope[4]), 0.0, 0.02, q, h=h * 2.0 * rho,
-         steps=steps)
+    both(loewner._tip_field(d_sqrt._slope[4]), 0.0, 0.02, q, h=h * 2.0 * rho, steps=steps)
 
     # an upward flow on one driver cell, with its step cap and a carried step
     i = 100
@@ -318,14 +363,15 @@ def test_interior_flows_make_no_driver_lookup(d_sqrt, monkeypatch):
 
 
 def test_step_budget_is_per_flow(d_sqrt):
-    # one budget for the whole flow, not one per driver cell: the plus-angle
-    # flow at T takes about 313 steps over 256 cells, so 50 cannot carry it
-    tight = FlowParams(max_steps=50)
+    # one budget for the whole flow, not one per driver cell: the tip flow
+    # from the singularity at 0 and the upward flow each take between 200 and
+    # 300 steps over the 256 cells.  The tip flow takes several steps on each
+    # fine cell near 0, so its tight budget must carry it past the longest cell
     cell = max(np.diff(d_sqrt.grid))
-    for run in (lambda p: loewner._absorbed_angle(d_sqrt, d_sqrt.T, 1.0, p),
-                lambda p: upward_flow(d_sqrt, 0.5 + 0.3j, d_sqrt.T, p)):
+    for run, budget in ((lambda p: trace_point(d_sqrt, d_sqrt.T, p), 150),
+                        (lambda p: upward_flow(d_sqrt, 0.5 + 0.3j, d_sqrt.T, p), 50)):
         with pytest.raises(IntegrationError) as info:
-            run(tight)
+            run(FlowParams(max_steps=budget))
         # the message reports the flow's time, beyond the longest single cell
         t = float(re.search(r"at t=(\S+)$", str(info.value)).group(1))
         assert cell < t < d_sqrt.T
@@ -333,28 +379,44 @@ def test_step_budget_is_per_flow(d_sqrt):
 
 
 def test_born_flow_work_does_not_grow(d_sqrt, monkeypatch):
-    # right-hand-side evaluations of the flows born at the singularity; a
-    # speedup must come from cheaper steps, not from skipped stages.  Counts
+    # Newton iterations of the angle cell maps, and right-hand-side
+    # evaluations of the trace tips; a speedup must come from cheaper
+    # iterations and steps, not from skipped ones.  Measured when the cell
+    # maps replaced the angle flows: 1099 iterations over the 256 cells of
+    # hitting_profile(d_sqrt, 64), at most 7 in one cell.  The tip count was
     # measured with the generic tableau loop, before the step was written out:
-    # 169760 for hitting_profile(d_sqrt, 64), 26448 for trace_curve(d_sqrt, 32)
-    calls = [0]
+    # 26448 for trace_curve(d_sqrt, 32)
+    calls, per_cell = [0], []
+    cell_time, cell_map = loewner._cell_time, loewner._cell_map
 
-    def counting(make_field):
-        def field(sigma, slope):
-            rhs = make_field(sigma, slope)
+    def counted_time(w, c):
+        calls[0] += 1
+        return cell_time(w, c)
 
-            def counted(r, y):
-                calls[0] += 1
-                return rhs(r, y)
+    def counted_map(w, dt, c):
+        before = calls[0]
+        out = cell_map(w, dt, c)
+        per_cell.append(calls[0] - before - 1)   # one call sets the target
+        return out
 
-            return counted
-
-        return field
-
-    monkeypatch.setattr(loewner, "_angle_field", counting(loewner._angle_field))
-    monkeypatch.setattr(loewner, "_tip_field", counting(loewner._tip_field))
+    monkeypatch.setattr(loewner, "_cell_time", counted_time)
+    monkeypatch.setattr(loewner, "_cell_map", counted_map)
     hitting_profile(d_sqrt, 64)
-    assert calls[0] <= 169760
+    assert len(per_cell) == 256
+    assert sum(per_cell) <= 1099 and max(per_cell) <= 7
+
     calls[0] = 0
+    tip_field = loewner._tip_field
+
+    def counting(slope):
+        rhs = tip_field(slope)
+
+        def counted(r, y):
+            calls[0] += 1
+            return rhs(r, y)
+
+        return counted
+
+    monkeypatch.setattr(loewner, "_tip_field", counting)
     trace_curve(d_sqrt, 32)
     assert calls[0] <= 26448

@@ -76,19 +76,19 @@ def test_extraction_matches_radial_closed_form(w_const_256, d_const):
     assert np.max(np.abs(w.theta_minus + w.theta_plus)) < 1e-5
 
 
-@pytest.mark.parametrize("c", [0.2, 0.4])
+@pytest.mark.parametrize("c", [0.2, 0.4, -1.5])
 def test_extraction_matches_linear_closed_form(c):
     # sigma = c t moves the singularity, so the two columns differ and each
-    # side has its own closed form
+    # side has its own closed form, which the exact cell map reproduces
     d = DrivingTerm([0.0, 1.0], [0.0, c])
     w = extract_welding(d, 32)
     want_p = [oracles.linear_theta_of_time(t, c) for t in w.times[1:]]
     want_m = [oracles.linear_theta_of_time(t, c, "minus") for t in w.times[1:]]
-    assert np.max(np.abs(w.theta_plus[1:] - want_p)) <= 1e-9
-    assert np.max(np.abs(w.theta_minus[1:] - want_m)) <= 1e-9
+    assert np.max(np.abs(w.theta_plus[1:] - want_p)) <= 1e-13
+    assert np.max(np.abs(w.theta_minus[1:] - want_m)) <= 1e-13
     am, ap = slit_preimage_endpoints(d)
-    assert abs(ap.angle - want_p[-1]) <= 1e-9
-    assert abs(am.angle - want_m[-1]) <= 1e-9
+    assert abs(ap.angle - want_p[-1]) <= 1e-13
+    assert abs(am.angle - want_m[-1]) <= 1e-13
 
 
 def _angle_gap(a, b):
