@@ -53,11 +53,11 @@ _COUNT_MINIMUMS = {
 # Caps keep one stage within about 256 MiB of working memory and about a
 # minute on a 2-core x86-64 machine; the costs behind them, measured there:
 _COUNT_MAXIMUMS = {
-    "welding_samples": 32768,     # one angle sweep, 0.7 us per sample and cell; _SWEEP_WORK
+    "welding_samples": 32768,     # one angle sweep, 0.4 us per sample and cell; _SWEEP_WORK
     "trace_count": 4096,          # tips born in one cell share a run there: 33 ms for 4096
                                   # on a 2-node driver, one flow of 0.7 ms per tip on 256 cells
     "quad_level": 65536,          # FFT chordal sums: construct 2.8 s and 109 MiB at the cap
-    "boundary_samples": 65536,    # 360 bytes of JSON and 0.04 ms per sample
+    "boundary_samples": 65536,    # 360 bytes of JSON and 0.03 ms per sample
     "profile_samples": 32768,     # as welding_samples
     "window_samples": 8192,       # mean oscillation in row blocks: 2 MiB, 0.2 s at the cap
     "qs_positions": 1 << 20,      # about 140 bytes and 2 us per position
@@ -118,9 +118,9 @@ class RunConfig:
 
 
 # Bound on driver cells x (samples + _SWEEP_CELL_SAMPLES) for weld and
-# trace --profile-samples.  An angle sweep costs about 0.7 us per sample and
-# cell, and weld's two sweeps about 0.3 ms per cell on top, less than 512
-# samples cost; so a run at the bound takes about 12 s on a 2-core x86-64
+# trace --profile-samples.  An angle sweep costs about 0.4 us per sample and
+# cell, and weld's two sweeps about 0.2 ms per cell on top, less than 512
+# samples cost; so a run at the bound takes 6 to 9 s on a 2-core x86-64
 # machine.
 _SWEEP_WORK = 1 << 24
 _SWEEP_CELL_SAMPLES = 512

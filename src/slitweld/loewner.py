@@ -418,7 +418,8 @@ def boundary_flow(d: DrivingTerm, theta0: float, t_end: float,
 
 
 _NEWTON_MAX = 60        # Newton iterations a cell map may take
-_NEWTON_TOL = 1e-14     # a cell map stops at a step or bracket below _NEWTON_TOL * max(1, w)
+_NEWTON_TOL = 1e-14     # a cell map stops at an error bound or bracket below _NEWTON_TOL * max(1, w)
+_SERIES_ANGLE = 0.2     # below it the cell map predicts from the inverse series at w = 0
 
 
 def _cell_time(w, c):
@@ -427,32 +428,59 @@ def _cell_time(w, c):
     F_c(w) = (2/R^2)[c w/2 - ln|cos(w/2) + c sin(w/2)|], R^2 = 1 + c^2, is
     the reversed time the flow takes from 0 to w below the fixed point
     w* = pi + 2 atan c, and an antiderivative of 1 / (cot(w/2) + c) on either
-    side of it.  The logarithm's argument is 1 + x with x = c sin(w/2) -
-    2 sin^2(w/4), so the logarithm is log1p(x) below w*, exact near w = 0,
-    and log1p(-2 - x) above it; the rate is (1 + x) / sin(w/2).
+    side of it.  The logarithm's argument is 1 + x with x = sin(w/2) (c -
+    tan(w/4)), so the logarithm is log1p(x) below w*, exact near w = 0, and
+    log1p(-2 - x) above it; the rate is (1 + x) / sin(w/2).
     """
     half = np.sin(0.5 * w)
-    x = c * half - 2.0 * np.sin(0.25 * w) ** 2
+    x = half * (c - np.tan(0.25 * w))
     log = np.log1p(np.where(x > -1.0, x, -2.0 - x))
-    return (2.0 / (1.0 + c * c)) * (0.5 * c * w - log), (1.0 + x) / half
+    return (c * w - 2.0 * log) / (1.0 + c * c), (1.0 + x) / half
 
 
 def _cell_map(w, dt, c):
     """Angles w after reversed time dt on a cell of slope c: F_c^-1(F_c(w) + dt).
 
-    Each w moves monotonically toward the fixed point w* and never reaches
-    it, so the root lies in [w, w*) or (w*, w].  Newton starts from an Euler
-    step, or from 2 sqrt(dt) at w = 0 where w ~ 2 sqrt(r).  An iterate on a
-    bracket end is kept; one outside the bracket is replaced by the point
-    halfway between the ends in log distance to w*, which reaches a root
-    exponentially close to w* in a few steps.
+    w is a (2, k) array and c a (2, 1) column.  Each w moves monotonically
+    toward the fixed point w* and never reaches it, so the root lies in
+    [w, w*) or (w*, w].  Newton starts from a third-order predictor: below
+    _SERIES_ANGLE, births included, the inverse series
+    w = 2 sqrt(r) + (2c/3) r + (c^2/18 - 1/6) r^(3/2) at r = F_c(w) + dt;
+    above it a Taylor step of dw/dr = v = cot(w/2) + c, with v' = -(1 + u^2)/2
+    and v'' = u (1 + u^2)/2 for u = cot(w/2) = v - c.  F_c is convex on each
+    side of w*, so Newton then moves monotonically toward the root inside the
+    bracket.  It stops once the step, or Newton's quadratic estimate
+    e = -v' step^2 / (2v) of the error left after it, is below tolerance,
+    and subtracts e where it used the estimate, which brings the result to
+    rounding at no extra evaluation.  Only after an iterate leaves the
+    bracket does the loop narrow the bracket as it goes: an iterate on a
+    bracket end is kept, one outside is replaced by the point halfway between
+    the ends in log distance to w*, which reaches a root exponentially close
+    to w* in a few steps.
     """
+    c = c.repeat(w.shape[1], axis=1)   # full columns: broadcasting costs more per call
     wstar = 2.0 * np.arctan2(1.0, -c)   # pi + 2 atan c, without cancellation at c << -1
     time, rate = _cell_time(w, c)
     target = time + dt
-    side = np.where(w > wstar, 1.0, -1.0)
-    lo = np.where(side > 0.0, np.nextafter(wstar, math.inf), w)
-    hi = np.where(side > 0.0, w, np.nextafter(wstar, -math.inf))
+
+    small = w < _SERIES_ANGLE
+    some = small.any()
+    if some:
+        root = np.sqrt(target)
+        x = root * (2.0 + root * ((2.0 / 3.0) * c + root * ((c * c - 3.0) / 18.0)))
+    if not small.all():
+        u = rate - c
+        a = 1.0 + u * u   # -2 v'
+        taylor = w + dt * rate * (1.0 - 0.25 * dt * a * (1.0 - dt / 6.0 * (a + 2.0 * u * rate)))
+        x = np.where(small, x, taylor) if some else taylor
+
+    def leaves(x):   # some x lies outside [w, w*] or [w*, w]
+        return not ((x - w) * (wstar - x) >= 0.0).all()
+
+    def bracket():   # (side, lo, hi) of [w, w*) or (w*, w]
+        side = np.where(w > wstar, 1.0, -1.0)
+        return (side, np.where(side > 0.0, np.nextafter(wstar, math.inf), w),
+                np.where(side > 0.0, w, np.nextafter(wstar, -math.inf)))
 
     def inside(x):   # x, or where it left the bracket the midpoint in log distance to w*
         out = ~((x >= lo) & (x <= hi))
@@ -460,19 +488,32 @@ def _cell_map(w, dt, c):
             return x
         return np.where(out, wstar + side * np.sqrt((lo - wstar) * (hi - wstar)), x)
 
-    x = inside(np.where(w == 0.0, 2.0 * np.sqrt(dt), w + dt * rate))
+    guarded = leaves(x)
+    if guarded:
+        side, lo, hi = bracket()
+        x = inside(x)
     for _ in range(_NEWTON_MAX):
         time, rate = _cell_time(x, c)
         step = (target - time) * rate
-        lo = np.where(step > 0.0, x, lo)
-        hi = np.where(step < 0.0, x, hi)
-        x = inside(x + step)
-        # the step is below tolerance, or the bracket is (a root exponentially
-        # close to w* may lie beyond the last float before it)
+        after = x + step
+        if not guarded and leaves(after):
+            guarded = True
+            side, lo, hi = bracket()
+        if guarded:
+            lo = np.where(step > 0.0, x, lo)
+            hi = np.where(step < 0.0, x, hi)
+            after = inside(after)
+        x = after
+        # Newton's error bound or the step is below tolerance, or the bracket
+        # is (a root exponentially close to w* may lie beyond the last float
+        # before it)
         tol = _NEWTON_TOL * np.maximum(1.0, x)
-        done = np.abs(step) <= tol
-        if done.all() or (done | (hi - lo <= tol)).all():
-            return x
+        u = rate - c
+        err = step * step * (1.0 + u * u) / (4.0 * rate)   # x - root ~ -v' step^2 / (2v)
+        quad = np.abs(err) <= tol
+        done = quad | (np.abs(step) <= tol)
+        if done.all() or (guarded and (done | (hi - lo <= tol)).all()):
+            return np.where(quad, x - err, x)
     raise DiagnosticsError(f"angle cell map did not converge in {_NEWTON_MAX} Newton steps")
 
 

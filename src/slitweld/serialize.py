@@ -65,6 +65,10 @@ def _json_value(obj, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):   # one template for a row of floats
+            text = (",\n" + pad_in).join(("%.17g",) * len(obj)) % tuple(obj)
+            if "n" not in text:   # else a nan or an inf needs format_float
+                return "[\n" + pad_in + text + "\n" + pad + "]"
         items = [_json_value(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):

@@ -165,7 +165,10 @@ def extract_welding(d: DrivingTerm, n: int = 256) -> Welding:
     The two start angles absorbed at t_k = k T / n, k = 1 .. n-1, come from
     one sweep of the exact per-cell angle maps down from the top driver cell,
     both sides as one array; the arc endpoints from slit_preimage_endpoints
-    close the grid at T.
+    close the grid at T.  The endpoints come first, from a sweep of their
+    own, so that arcs covering the circle are rejected before the n-sample
+    sweep runs; a one-sample sweep costs about a third of weld's time on
+    the 256-cell graded driver at n = 64.
     """
     if n < 8:
         raise ValidationError("welding resolution must be at least 8")

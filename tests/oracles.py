@@ -10,13 +10,14 @@ tests import expected values from here instead of inventing them.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from slitweld.errors import DiagnosticsError, IntegrationError
+from slitweld.errors import DiagnosticsError, IntegrationError, ValidationError
 from slitweld.loewner import boundary_flow
 
 TWO_PI = 2.0 * math.pi
@@ -424,3 +425,50 @@ def const_mu_subdisk_integral(k: float, r: float) -> float:
     constant on |z| < r inside the unit disk:
     k^2 * 2 pi * [1/(2(1-s^2))]_0^r = k^2 pi (1/(1-r^2) - 1)."""
     return k * k * math.pi * (1.0 / (1.0 - r * r) - 1.0)
+
+
+# ------------------------------------------------------------- JSON layout
+
+def reference_json_dumps(obj) -> str:
+    """The library's JSON layout, formatted one value at a time.
+
+    Indent 2, insertion-ordered keys, floats as %.17g with NaN and
+    +-Infinity spelled out; serialize.json_dumps must give the same bytes.
+    """
+    def value(obj, level: int) -> str:
+        pad = "  " * level
+        pad_in = "  " * (level + 1)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            x = float(obj)
+            if math.isnan(x):
+                return "NaN"
+            if math.isinf(x):
+                return "Infinity" if x > 0 else "-Infinity"
+            return "%.17g" % x
+        if isinstance(obj, complex):
+            return value({"re": obj.real, "im": obj.imag}, level)
+        if isinstance(obj, np.ndarray):
+            obj = obj.tolist()
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            items = [value(v, level + 1) for v in obj]
+            return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = [f"{json.dumps(str(k))}: {value(v, level + 1)}" for k, v in obj.items()]
+            return "{\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "}"
+        raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
+
+    return value(obj, 0) + "\n"

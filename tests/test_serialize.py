@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from slitweld import serialize
 
 from slitweld.errors import ValidationError
@@ -68,6 +69,25 @@ def test_json_dumps_layout_and_types():
 def test_json_dumps_deterministic():
     doc = {"x": [math.pi, 2.0 / 3.0], "y": {"k": 1e-17}}
     assert json_dumps(doc) == json_dumps(doc)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.lists(_FLOATS, max_size=4),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=_JSON_DOCS)
+@example(doc=[1.5, math.nan, -0.0])
+@example(doc={"inf": [math.inf, 1.0], "ninf": (2.0, -math.inf), "bool": [0.5, True], "int": [1.0, 2]})
+def test_json_dumps_matches_the_per_value_reference(doc):
+    # rows of finite floats take one template; any other list, one holding
+    # a nan, an infinity, a bool or an int included, goes value by value
+    assert json_dumps(doc) == oracles.reference_json_dumps(doc)
 
 
 def test_load_driver_roundtrip(tmp_path):

@@ -91,6 +91,19 @@ def test_extraction_matches_linear_closed_form(c):
     assert abs(am.angle - want_m[-1]) <= 1e-13
 
 
+@pytest.mark.parametrize("cells", [1, 7, 256, 4097])
+@pytest.mark.parametrize("c", [0.4, -1.5])
+def test_extraction_keeps_the_closed_form_across_many_cells(c, cells):
+    # sigma = c t cut into equal cells: every cell map is exact, so the
+    # stopping error each one leaves must not pile up over the sweep
+    grid = np.linspace(0.0, 1.0, cells + 1)
+    w = extract_welding(DrivingTerm(grid, c * grid), 8)
+    want_p = [oracles.linear_theta_of_time(t, c) for t in w.times[1:]]
+    want_m = [oracles.linear_theta_of_time(t, c, "minus") for t in w.times[1:]]
+    assert np.max(np.abs(w.theta_plus[1:] - want_p)) <= 1e-13
+    assert np.max(np.abs(w.theta_minus[1:] - want_m)) <= 1e-13
+
+
 def _angle_gap(a, b):
     return np.abs(np.mod(np.asarray(a) - b + math.pi, 2.0 * math.pi) - math.pi)
 
