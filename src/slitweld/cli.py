@@ -33,9 +33,8 @@ from .serialize import (json_dumps, load_csv_columns, load_driver, load_welding_
                         remove_if_exists, save_profile_csv, save_trace_csv,
                         save_welding_csv, write_text)
 from .svgplot import LineSeries, save_svg
-from .welding import (PAIR_RADIUS, Welding, extract_welding, pair_residuals,
-                      radial_slit_welding, welding_as_homeomorphism,
-                      welding_log_derivative)
+from .welding import (Welding, extract_welding, pair_residuals, radial_slit_welding,
+                      welding_as_homeomorphism, welding_log_derivative)
 
 __all__ = ["RunConfig", "main", "run_command"]
 
@@ -47,7 +46,6 @@ _COUNT_MINIMUMS = {
     "profile_samples": 2,
     "window_samples": 64,
     "qs_positions": 16,
-    "residual_count": 1,
 }
 
 # Caps keep one stage within about 256 MiB of working memory and about a
@@ -61,7 +59,6 @@ _COUNT_MAXIMUMS = {
     "profile_samples": 32768,     # as welding_samples
     "window_samples": 8192,       # mean oscillation in row blocks: 2 MiB, 0.2 s at the cap
     "qs_positions": 1 << 20,      # about 140 bytes and 2 us per position
-    "residual_count": 4096,       # two upward flows, 4.4 ms, per probe
 }
 
 
@@ -117,11 +114,11 @@ class RunConfig:
         }
 
 
-# Bound on driver cells x (samples + _SWEEP_CELL_SAMPLES) for weld and
-# trace --profile-samples.  An angle sweep costs about 0.4 us per sample and
-# cell, and weld's two sweeps about 0.2 ms per cell on top, less than 512
-# samples cost; so a run at the bound takes 6 to 9 s on a 2-core x86-64
-# machine.
+# Bound on driver cells x (samples + _SWEEP_CELL_SAMPLES) for weld,
+# trace --profile-samples and construct --driver.  An angle sweep costs about
+# 0.4 us per sample and cell, and weld's two sweeps about 0.2 ms per cell on
+# top, less than 512 samples cost; so a run at the bound takes 6 to 9 s on a
+# 2-core x86-64 machine.
 _SWEEP_WORK = 1 << 24
 _SWEEP_CELL_SAMPLES = 512
 
@@ -274,12 +271,14 @@ def _cmd_construct(args, outputs: list) -> int:
         "construct",
         inputs=tuple(p for p in (args.welding, args.driver) if p),
         outputs=(args.out,),
-        counts={"quad_level": args.quad_level, "boundary_samples": args.boundary_samples,
-                "residual_count": args.residual_count},
+        counts={"quad_level": args.quad_level, "boundary_samples": args.boundary_samples},
         tolerances={"quad_agree": args.agree_tol},
     )
     w = load_welding_csv(args.welding)
     d = _load_flow_driver(args.driver) if args.driver else None
+    if d is not None:
+        _check_sweep(d, "welding pairs", w.times.size)
+        res = pair_residuals(d, w)
     outputs.append(args.out)
 
     built = welding_construction(w)
@@ -330,14 +329,13 @@ def _cmd_construct(args, outputs: list) -> int:
 
     composite = None
     if d is not None:
-        res = pair_residuals(d, w, count=args.residual_count)
         f = compose_f(d, built)
         composite = {
             "f0_abs": abs(complex(f(0.0))),
             "pair_residual_max": float(np.max(res)),
             "pair_residual_count": int(res.size),
-            "note": "residuals compare boundary pairs pushed through the horizon "
-                    f"flow at radius {PAIR_RADIUS:g}",
+            "note": "residuals are the angle gaps between each welded pair and the "
+                    "pair the driver absorbs at its time, by exact cell maps",
         }
 
     doc = {
@@ -567,7 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("--quad-level", type=int, default=128)
     co.add_argument("--agree-tol", type=float, default=0.05)
     co.add_argument("--boundary-samples", type=int, default=64)
-    co.add_argument("--residual-count", type=int, default=8)
     co.set_defaults(fn=_cmd_construct)
 
     st = sub.add_parser("selftest", help="run fast invariant checks")

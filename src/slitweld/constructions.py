@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .arcfun import ArcHomeomorphism
-from .circle import TWO_PI, CirclePoint, OrientedArc, arc, canonical_angle
+from .circle import TWO_PI, OrientedArc, arc, canonical_angle
 from .errors import AccuracyError, IntegrationError, ValidationError
-from .loewner import DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, upward_flow
+from .loewner import DrivingTerm, upward_flow
 from .regularity import h_half_seminorm_detail
 from .welding import Welding, _conjugated_welding, build_tau
 
@@ -34,10 +34,8 @@ __all__ = [
     "psi_j_decomposition",
     "reflect_half_extension",
     "build_capital_psi",
-    "capital_psi_composite_residual",
     "slit_map_h",
     "lemma_q_map",
-    "qtilde_beltrami",
     "poincare_l2_integral",
     "welding_construction",
     "compose_f",
@@ -45,7 +43,6 @@ __all__ = [
 
 _HALF_PI = 0.5 * math.pi
 
-_RESIDUAL_SAMPLES = 400     # interior samples of capital_psi_composite_residual
 _POINCARE_AGREE_TOL = 0.02  # relative agreement of poincare_l2_integral's two levels
 
 
@@ -131,7 +128,6 @@ class DiskMapEvaluator:
     codomain: str
     fn: Callable
     inverse: Callable | None = None
-    boundary: Callable | None = None
 
     def __call__(self, z):
         return self.fn(z)
@@ -271,20 +267,6 @@ def build_capital_psi(inner: ArcHomeomorphism) -> PiecewiseCircleMap:
     ])
 
 
-def capital_psi_composite_residual(big_psi: PiecewiseCircleMap,
-                                   inner: ArcHomeomorphism) -> float:
-    """Residual of undoing the conjugated-copy branch on the arc from -i to 1.
-
-    Composing with the inverse of conj o inner o conj must restore the
-    identity there; the maximum circle distance over _RESIDUAL_SAMPLES
-    interior samples is returned.
-    """
-    inv = inner.inverse()
-    th = np.linspace(-_HALF_PI, 0.0, _RESIDUAL_SAMPLES + 2)[1:-1]
-    img = big_psi.apply_angle(th)
-    return float(np.max(_circle_dist(-inv.angle_map(-img), th)))
-
-
 def _cayley(z):
     return (1.0 - z) / (1.0 + z)
 
@@ -313,34 +295,8 @@ def slit_map_h(beta: float):
         out = _cayley(np.sqrt((_cayley(x) / c) ** 2 - 1.0))
         return out if out.ndim else complex(out)
 
-    def boundary(x):
-        """Both circle preimages of a point on the closed slit."""
-        x = float(x)
-        if not t_slit <= x <= 1.0:
-            raise ValidationError("slit positions lie in [t_slit, 1]")
-        v = (1.0 - x) / (1.0 + x)
-        s = max(0.0, 1.0 - (v / c) ** 2)
-        th = 2.0 * math.atan(math.sqrt(s))
-        return CirclePoint(th), CirclePoint(-th)
-
-    ev = DiskMapEvaluator("unit_disk", "slit_disk", forward, inverse, boundary)
+    ev = DiskMapEvaluator("unit_disk", "slit_disk", forward, inverse)
     return ev, t_slit, c
-
-
-def qtilde_beltrami(p: complex, z: complex) -> complex:
-    """Dilatation of the two-sector angular shear of the upper half-plane.
-
-    The shear sends arg p to pi/2 linearly within each sector, so mu has
-    constant modulus |1 - a| / (1 + a) per sector with a the angular rate.
-    """
-    ap = cmath.phase(complex(p))
-    az = cmath.phase(complex(z))
-    if not 0.0 < ap < math.pi:
-        raise ValidationError("p must lie in the open upper half-plane")
-    if not 0.0 < az < math.pi:
-        raise ValidationError("z must lie in the open upper half-plane")
-    a = _HALF_PI / ap if az <= ap else _HALF_PI / (math.pi - ap)
-    return cmath.exp(2j * az) * (1.0 - a) / (1.0 + a)
 
 
 def lemma_q_map(z0: complex, r: float):
@@ -521,8 +477,7 @@ def welding_construction(w: Welding) -> dict:
             "t_slit": t_slit, "c": c}
 
 
-def compose_f(d: DrivingTerm, built: dict,
-              params: FlowParams = DEFAULT_FLOW_PARAMS) -> DiskMapEvaluator:
+def compose_f(d: DrivingTerm, built: dict) -> DiskMapEvaluator:
     """Map of the reference slit disk onto the complement of the grown slit.
 
     built is the chain welding_construction returned for the welding of d;
@@ -539,6 +494,6 @@ def compose_f(d: DrivingTerm, built: dict,
         z = q_ev.inverse(complex(z))
         z = ext(complex(z))
         z = tau(z)
-        return upward_flow(d, z, d.T, params)
+        return upward_flow(d, z, d.T)
 
     return DiskMapEvaluator("slit_disk", "slit_complement", f)

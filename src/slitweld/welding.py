@@ -17,8 +17,7 @@ from .arcfun import ArcFunction, ArcHomeomorphism
 from .circle import (TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, canonical_angle,
                      mobius_from_triple)
 from .errors import ExtractionError, ValidationError
-from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, FlowParams, _absorbed_angles,
-                      slit_preimage_endpoints, upward_flow)
+from .loewner import DrivingTerm, _absorbed_angles, slit_preimage_endpoints
 
 __all__ = [
     "Welding",
@@ -29,8 +28,6 @@ __all__ = [
     "radial_slit_welding",
     "pair_residuals",
 ]
-
-PAIR_RADIUS = 1.0 - 1e-4   # pair_residuals pushes each welded pair to this radius
 
 
 @dataclass
@@ -212,21 +209,15 @@ def radial_slit_welding(t_slit: float, n: int = 256) -> Welding:
     return Welding(tau, theta, -theta)
 
 
-def pair_residuals(d: DrivingTerm, w: Welding, count: int = 8,
-                   params: FlowParams = DEFAULT_FLOW_PARAMS) -> np.ndarray:
-    """Distances between horizon-map images of welded pairs pushed inside.
+def pair_residuals(d: DrivingTerm, w: Welding) -> np.ndarray:
+    """Angle gaps between each welded pair after the base pair and the driver's own.
 
-    Both members of a pair, pushed to radius PAIR_RADIUS, approach the same
-    slit point, so residuals on the order of 1 - PAIR_RADIUS confirm the
-    extraction; large values flag a mismatch.
+    One sweep of the exact cell maps gives the two start angles d absorbs
+    at each welding time; the residual of a pair is the larger of its two
+    angle gaps, so the welding of d reads at rounding and a welding of
+    another driver reads its distance from d's.
     """
-    if count < 1:
-        raise ValidationError("need at least one probe pair")
-    m = w.times.size
-    idx = np.unique(np.round(np.linspace(1, m - 2, count)).astype(int))
-    res = []
-    for k in idx:
-        zp = PAIR_RADIUS * np.exp(1j * w.theta_plus[k])
-        zm = PAIR_RADIUS * np.exp(1j * w.theta_minus[k])
-        res.append(abs(upward_flow(d, zp, d.T, params) - upward_flow(d, zm, d.T, params)))
-    return np.array(res)
+    if abs(w.T - d.T) > 1e-12 * max(1.0, d.T):
+        raise ValidationError(f"welding horizon {w.T!r} differs from the driver's {d.T!r}")
+    plus, minus = _absorbed_angles(d, np.minimum(w.times[1:], d.T))
+    return np.maximum(np.abs(plus - w.theta_plus[1:]), np.abs(minus - w.theta_minus[1:]))

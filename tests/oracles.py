@@ -394,6 +394,21 @@ def reference_dp54(f, t0, t1, y0, params, cap=None, stop=None, record=None, h=No
     return t, y, False, h, err_sum, steps
 
 
+# ------------------------------------------------------- graded driver angles
+
+# Start angles absorbed at SQRT_TIMES under the graded sigma = 0.4 sqrt(t) of
+# conftest.d_sqrt (256 cells, power 2), rows plus and minus side: the cell
+# maps of loewner._absorbed_angles evaluated to 40 digits with mpmath, by
+# tests/cell_map_table.py, which reruns them.
+SQRT_TIMES = (0.003, 0.1, 0.5, 1.0)
+SQRT_ABSORBED_ANGLES = (
+    (0.1269498871860716989792169267419055196507, 0.7273113783784968372784351924286404800039,
+     1.574166033049106163007094888337510904269, 2.135900667123059808917541134311885028688),
+    (-0.0926004326448040595837791281645427732584, -0.530051526914177218139212120456427786728,
+     -1.14456043691548399185220013880090900792, -1.549426678535402882448932427582962587749),
+)
+
+
 # ------------------------------------------------------------- random drivers
 
 def random_lip_half_nodes(rng, n: int = 64, T: float = 1.0, const: float = 0.5):

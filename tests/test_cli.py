@@ -199,8 +199,7 @@ def test_analyze_extracted_keep_going(workdir, driver_path, extracted_path):
 def test_construct_closed_form(workdir, driver_path, closed_form_path):
     out = str(workdir / "maps.json")
     argv = ["construct", "--welding", closed_form_path, "--driver", driver_path,
-            "--out", out, "--quad-level", "16", "--boundary-samples", "16",
-            "--residual-count", "2"]
+            "--out", out, "--quad-level", "16", "--boundary-samples", "16"]
     assert main(argv) == 0
     first = Path(out).read_bytes()
     doc = json.loads(first)
@@ -231,8 +230,8 @@ def test_construct_closed_form(workdir, driver_path, closed_form_path):
     assert np.max(np.abs(h_samples[:, 1] + 1j * h_samples[:, 2] - h_ref)) <= 4.4e-16
     comp = doc["composite"]
     assert comp["f0_abs"] < 1e-5
-    assert comp["pair_residual_max"] < 5e-3
-    assert comp["pair_residual_count"] == 2
+    assert comp["pair_residual_max"] <= 1e-13
+    assert comp["pair_residual_count"] == 64
     assert main(argv) == 0
     assert Path(out).read_bytes() == first
 
@@ -419,6 +418,34 @@ def test_sweep_work_cap_exits_2_before_compute(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_construct_checks_the_driver_before_construction(tmp_path, closed_form_path,
+                                                          monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("construction started on a welding its driver rejects")
+
+    for name in ("welding_construction", "compose_f"):
+        monkeypatch.setattr(cli, name, reached)
+    out = tmp_path / "maps.json"
+    other_horizon = _write_fine_driver(tmp_path, 4)
+    assert main(["construct", "--welding", closed_form_path, "--driver", other_horizon,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+    # a welding CSV has no row cap, so its pairs meet the sweep bound here
+    monkeypatch.setattr(cli, "pair_residuals", reached)
+    cells = cli.DEFAULT_FLOW_PARAMS.max_steps
+    pairs = cli._SWEEP_WORK // cells - cli._SWEEP_CELL_SAMPLES + 1
+    w = radial_slit_welding(T_SLIT_LOG2, pairs - 1)
+    welding = str(tmp_path / "long.csv")
+    save_welding_csv(welding, w)
+    driver = tmp_path / "const.json"
+    driver.write_text(json.dumps({"T": w.T, "grid": np.linspace(0.0, w.T, cells + 1).tolist(),
+                                  "sigma": [0.0] * (cells + 1)}))
+    assert main(["construct", "--welding", welding, "--driver", str(driver),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_trace_count_cap_on_the_linear_driver(tmp_path):
     # all 4096 tips are born in the driver's one cell and share one run there
     driver = tmp_path / "linear.json"
@@ -441,5 +468,5 @@ def test_construct_with_driver_builds_the_chain_once(tmp_path, driver_path, clos
     monkeypatch.setattr(constructions, "_HarmonicExtension", CountingExtension)
     assert main(["construct", "--welding", closed_form_path, "--driver", driver_path,
                  "--out", str(tmp_path / "maps.json"), "--quad-level", "16",
-                 "--boundary-samples", "16", "--residual-count", "1"]) == 0
+                 "--boundary-samples", "16"]) == 0
     assert len(built) == 1

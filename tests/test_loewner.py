@@ -233,6 +233,13 @@ def test_absorbed_angles_on_steep_random_drivers(seed):
         assert np.max(np.abs(row - ref)) < 1e-9
 
 
+def test_absorbed_angles_match_high_precision_cell_maps(d_sqrt):
+    # the 40-digit table pins the Newton stop and its error subtraction to
+    # rounding; the scipy oracle above is good to about 1e-12 only
+    got = loewner._absorbed_angles(d_sqrt, oracles.SQRT_TIMES)
+    assert np.max(np.abs(got - np.array(oracles.SQRT_ABSORBED_ANGLES))) <= 1e-14
+
+
 def test_absorbed_angles_settle_on_fixed_points():
     # slope -100 for unit time: each side ends within exp(-5000) of its fixed
     # point w* = pi -+ 2 atan 100, closer than any float, so the Newton

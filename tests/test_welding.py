@@ -180,9 +180,31 @@ def test_as_homeomorphism_radial():
 
 
 def test_pair_residuals_radial(d_const, w_const_256):
-    res = pair_residuals(d_const, w_const_256, count=4)
-    assert res.size == 4
-    # both pair members land on the same slit point up to the push-in radius
-    assert np.max(res) < 5e-3
+    res = pair_residuals(d_const, w_const_256)
+    assert res.size == w_const_256.times.size - 1
+    assert np.max(res) <= 1e-13
+    closed = radial_slit_welding(3.0 - 2.0 * math.sqrt(2.0), 64)
+    assert np.max(pair_residuals(d_const, closed)) <= 1e-13
+
+
+def test_pair_residuals_of_extracted_weldings(d_sqrt, w_sqrt_256):
+    d_lin = DrivingTerm([0.0, 1.0], [0.0, 0.4])
+    w_lin = extract_welding(d_lin, 64)
+    assert np.max(pair_residuals(d_lin, w_lin)) <= 1e-13
+    times = w_lin.times[1:].tolist()
+    closed = Welding(w_lin.times,
+                     [0.0] + [oracles.linear_theta_of_time(t, 0.4) for t in times],
+                     [0.0] + [oracles.linear_theta_of_time(t, 0.4, "minus") for t in times])
+    assert np.max(pair_residuals(d_lin, closed)) <= 1e-13
+    assert np.max(pair_residuals(d_sqrt, w_sqrt_256)) <= 1e-13
+    # either side off by a relative 1e-9 shows
+    for plus, minus in ((1.0 + 1e-9, 1.0), (1.0, 1.0 + 1e-9)):
+        off = Welding(w_lin.times, plus * w_lin.theta_plus, minus * w_lin.theta_minus)
+        assert np.max(pair_residuals(d_lin, off)) > 1e-10
+    # a driver one fortieth less steep welds visibly different pairs
+    assert np.max(pair_residuals(DrivingTerm([0.0, 1.0], [0.0, 0.39]), w_lin)) > 1e-3
+
+
+def test_pair_residuals_rejects_another_horizon(d_const, w_const_256):
     with pytest.raises(ValidationError):
-        pair_residuals(d_const, w_const_256, count=0)
+        pair_residuals(DrivingTerm([0.0, 0.7], [0.0, 0.0]), w_const_256)
