@@ -24,8 +24,8 @@ from .constructions import (BeltramiField, build_capital_psi, compose_f, lemma_q
                             welding_construction)
 from .errors import (AccuracyError, ExtractionError, IntegrationError, SlitWeldError,
                      ValidationError)
-from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, boundary_flow, hitting_profile,
-                      trace_curve, upward_flow)
+from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, boundary_flow, trace_curve,
+                      upward_flow)
 from .regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
                          loewner_energy, lip_half_norm, mr_constant, qs_constant,
                          vmo_curve, wp_cross_condition)
@@ -43,7 +43,7 @@ _COUNT_MINIMUMS = {
     "trace_count": 1,
     "quad_level": 16,
     "boundary_samples": 16,
-    "profile_samples": 2,
+    "profile_samples": 8,         # extract_welding's floor
     "window_samples": 64,
     "qs_positions": 16,
 }
@@ -115,9 +115,9 @@ class RunConfig:
 
 
 # Bound on driver cells x (samples + _SWEEP_CELL_SAMPLES) for weld,
-# trace --profile-samples and construct --driver.  An angle sweep costs about
-# 0.4 us per sample and cell, and weld's two sweeps about 0.2 ms per cell on
-# top, less than 512 samples cost; so a run at the bound takes 6 to 9 s on a
+# trace --profile-samples and construct --driver, each one angle sweep.  A
+# sweep costs about 0.4 us per sample and cell, plus about 0.1 ms per cell,
+# less than 512 samples cost; so a run at the bound takes 3 to 5 s on a
 # 2-core x86-64 machine.
 _SWEEP_WORK = 1 << 24
 _SWEEP_CELL_SAMPLES = 512
@@ -163,11 +163,10 @@ def _cmd_trace(args, outputs: list) -> int:
                    [s.residual for s in samples])
     if args.profile_out:
         outputs.append(args.profile_out)
-        prof_p, prof_m = hitting_profile(d, args.profile_samples)
-        angles = np.concatenate([prof_m.angles, prof_p.angles])
-        taus = np.concatenate([prof_m.times, prof_p.times])
-        sides = ["minus"] * prof_m.angles.size + ["plus"] * prof_p.angles.size
-        save_profile_csv(args.profile_out, angles, taus, sides)
+        n = args.profile_samples
+        w = extract_welding(d, n)
+        save_profile_csv(args.profile_out, np.concatenate([w.theta_minus[1:], w.theta_plus[1:]]),
+                         np.tile(w.times[1:], 2), ["minus"] * n + ["plus"] * n)
     print(f"trace: {len(samples)} samples -> {args.out}")
     return 0
 

@@ -25,7 +25,7 @@ class HitSingularityError(IntegrationError):
 
 
 class DiagnosticsError(IntegrationError):
-    """A structural assumption failed (non-monotone hitting profile, step collapse)."""
+    """A structural assumption failed (step collapse, a non-converging or non-finite angle map)."""
 
 
 class TraceError(IntegrationError):

@@ -53,13 +53,11 @@ __all__ = [
     "FlowParams",
     "DEFAULT_FLOW_PARAMS",
     "DrivingTerm",
-    "HittingProfile",
     "TraceSample",
     "upward_flow",
     "downward_flow",
     "boundary_flow",
     "slit_preimage_endpoints",
-    "hitting_profile",
     "trace_point",
     "trace_curve",
 ]
@@ -141,15 +139,6 @@ class DrivingTerm:
     def breaks_in(self, t0: float, t1: float):
         """Interior grid kinks of the right-hand side on the interval (t0, t1)."""
         return self._g[bisect.bisect_right(self._g, t0):bisect.bisect_left(self._g, t1)]
-
-
-@dataclass(frozen=True)
-class HittingProfile:
-    """Sampled hitting times along one side of the slit preimage arc."""
-
-    side: str                 # "plus" or "minus"
-    angles: np.ndarray        # starting angles, signed, strictly away from 0
-    times: np.ndarray         # hitting times tau(angle)
 
 
 @dataclass(frozen=True)
@@ -551,25 +540,6 @@ def slit_preimage_endpoints(d: DrivingTerm):
     return CirclePoint(am), CirclePoint(ap)
 
 
-def hitting_profile(d: DrivingTerm, n: int = 32):
-    """Sampled hitting-time profiles (plus side, minus side).
-
-    The times are k T / n for k = 1 .. n and each angle is the start angle
-    absorbed at that time, so the last one is the arc endpoint.  One sweep
-    of the exact cell maps gives every angle on both sides; strict
-    monotonicity of the angles is enforced.
-    """
-    if n < 2:
-        raise ValidationError("need at least 2 profile samples")
-    times = d.T * (np.arange(1, n + 1) / n)
-    profiles = []
-    for side, sign, angles in zip(("plus", "minus"), (1.0, -1.0), _absorbed_angles(d, times)):
-        if np.any(np.diff(sign * angles) <= 0.0):
-            raise DiagnosticsError(f"hitting angles not strictly monotone on the {side} side")
-        profiles.append(HittingProfile(side, angles, times))
-    return tuple(profiles)
-
-
 def _tip_field(slope: float):
     """Upward flow from the singularity, in the chart q = (1 - g / xi(s))^2.
 
@@ -643,7 +613,8 @@ def trace_point(d: DrivingTerm, t: float,
 
     The flow runs in the rotating chart q = (1 - g / xi(s))^2, which is smooth
     at its start, and the tip is xi(T) (1 - sqrt(q(T))).  The residual is the
-    summed embedded error estimate carried to the tip, |dq| / (2 |sqrt(q)|).
+    summed embedded error estimate carried to the tip, |dq| / (2 |sqrt(q)|):
+    an estimate of the tip's error, not a bound on it.
     """
     if not 0.0 < t <= d.T:
         raise ValidationError("trace time must lie in (0, T]")

@@ -27,6 +27,7 @@ __all__ = [
     "build_tau",
     "radial_slit_welding",
     "pair_residuals",
+    "slit_preimage_endpoints",   # re-exported: bench/test_bench.py reads it here
 ]
 
 
@@ -159,34 +160,18 @@ def _conjugated_welding(w: Welding, tau: MobiusCircleMap):
 def extract_welding(d: DrivingTerm, n: int = 256) -> Welding:
     """Extract the welding of the slit grown by d on a uniform time grid.
 
-    The two start angles absorbed at t_k = k T / n, k = 1 .. n-1, come from
+    The two start angles absorbed at t_k = k T / n, k = 1 .. n, come from
     one sweep of the exact per-cell angle maps down from the top driver cell,
-    both sides as one array; the arc endpoints from slit_preimage_endpoints
-    close the grid at T.  The endpoints come first, from a sweep of their
-    own, so that arcs covering the circle are rejected before the n-sample
-    sweep runs; a one-sample sweep costs about a third of weld's time on
-    the 256-cell graded driver at n = 64.
+    both sides as one array; the last pair is the slit preimage endpoints.
+    Arcs that cover the circle fail the Welding invariants.
     """
     if n < 8:
         raise ValidationError("welding resolution must be at least 8")
-    am, ap = slit_preimage_endpoints(d)
-    ap_lift = math.fmod(ap.angle, TWO_PI)
-    if ap_lift <= 0.0:
-        ap_lift += TWO_PI
-    am_lift = math.fmod(am.angle, TWO_PI)
-    if am_lift >= 0.0:
-        am_lift -= TWO_PI
-    if ap_lift - am_lift >= TWO_PI:
-        raise ExtractionError("preimage arcs cover the circle; horizon too large")
-
-    inner = [k * d.T / n for k in range(1, n)]
-    times = [0.0] + inner + [d.T]
-    plus, minus = _absorbed_angles(d, inner).tolist()
-    plus = [0.0] + plus + [ap_lift]
-    minus = [0.0] + minus + [am_lift]
-
+    times = [0.0] + [k * d.T / n for k in range(1, n)] + [d.T]
+    plus, minus = _absorbed_angles(d, times[1:])
     try:
-        return Welding(np.array(times), np.array(plus), np.array(minus))
+        return Welding(np.array(times), np.concatenate([[0.0], plus]),
+                       np.concatenate([[0.0], minus]))
     except ValidationError as exc:
         raise ExtractionError(f"extracted pairs violate welding invariants: {exc}") from exc
 

@@ -109,6 +109,33 @@ def test_trace_end_to_end(workdir, driver_path):
     assert sides == {"plus", "minus"}
 
 
+def test_profile_and_welding_share_one_sweep(tmp_path, d_sqrt):
+    # the profile's rows are the welding's pairs after the base pair, minus
+    # side first, as text, bit for bit
+    driver = tmp_path / "sqrt.json"
+    driver.write_text(json.dumps({"T": d_sqrt.T, "grid": d_sqrt.grid.tolist(),
+                                  "sigma": d_sqrt.sigma.tolist()}))
+    prof, weld = tmp_path / "profile.csv", tmp_path / "welding.csv"
+    assert main(["trace", "--driver", str(driver), "--out", str(tmp_path / "trace.csv"),
+                 "--count", "1", "--profile-out", str(prof), "--profile-samples", "64"]) == 0
+    assert main(["weld", "--driver", str(driver), "--out", str(weld), "--samples", "64"]) == 0
+    pairs = [ln.split(",") for ln in weld.read_text().splitlines()[2:]]
+    rows = [ln.split(",") for ln in prof.read_text().splitlines()[1:]]
+    assert len(pairs) == 64
+    assert rows == ([[m, t, "minus"] for t, _, m in pairs]
+                    + [[p, t, "plus"] for t, p, _ in pairs])
+
+
+def test_profile_samples_floor_exits_2_before_compute(tmp_path, driver_path, monkeypatch):
+    _forbid_compute(monkeypatch)
+    assert _COUNT_MINIMUMS["profile_samples"] == _COUNT_MINIMUMS["welding_samples"] == 8
+    for n in (2, 7):
+        assert main(["trace", "--driver", driver_path, "--out", str(tmp_path / "t.csv"),
+                     "--profile-out", str(tmp_path / "p.csv"),
+                     "--profile-samples", str(n)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_weld_output_and_determinism(workdir, driver_path, extracted_path):
     lines = Path(extracted_path).read_text().splitlines()
     assert lines[0] == WELDING_HEADER
@@ -367,8 +394,8 @@ def test_driver_with_more_cells_than_a_flow_has_steps_exits_2_before_flows(
     def reached(*args, **kwargs):
         raise AssertionError("a flow started on a driver that no flow can cross")
 
-    for name in ("trace_curve", "hitting_profile", "extract_welding", "welding_construction",
-                 "pair_residuals", "compose_f"):
+    for name in ("trace_curve", "extract_welding", "welding_construction", "pair_residuals",
+                 "compose_f"):
         monkeypatch.setattr(cli, name, reached)
     driver = _write_fine_driver(tmp_path, cli.DEFAULT_FLOW_PARAMS.max_steps + 1)
     out = tmp_path / "out"
@@ -406,7 +433,7 @@ def test_sweep_work_cap_exits_2_before_compute(tmp_path, monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("an angle sweep started above the work cap")
 
-    for name in ("trace_curve", "hitting_profile", "extract_welding"):
+    for name in ("trace_curve", "extract_welding"):
         monkeypatch.setattr(cli, name, reached)
     cells = 1024
     over = cli._SWEEP_WORK // cells - cli._SWEEP_CELL_SAMPLES + 1

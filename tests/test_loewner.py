@@ -29,12 +29,12 @@ from slitweld.loewner import (
     FlowParams,
     boundary_flow,
     downward_flow,
-    hitting_profile,
     slit_preimage_endpoints,
     trace_curve,
     trace_point,
     upward_flow,
 )
+from slitweld.welding import extract_welding
 
 
 def test_driver_validation():
@@ -159,18 +159,6 @@ def test_slit_preimage_endpoints_radial(d_const):
     assert abs(am.angle + want) <= 1e-13
 
 
-def test_hitting_profile_radial(d_const):
-    prof_p, prof_m = hitting_profile(d_const, n=8)
-    assert prof_p.side == "plus" and prof_m.side == "minus"
-    assert np.all(np.diff(prof_p.times) > 0.0)
-    assert np.all(prof_p.angles > 0.0) and np.all(prof_m.angles < 0.0)
-    for prof in (prof_p, prof_m):
-        want = np.array([oracles.radial_hitting_time(abs(a)) for a in prof.angles])
-        assert np.max(np.abs(prof.times - want)) < 1e-5
-    with pytest.raises(ValidationError):
-        hitting_profile(d_const, n=1)
-
-
 def test_trace_point_radial_tip_off_anchor():
     # T = 0.85 sits away from every worked anchor; only the capacity
     # inversion in the oracle predicts the tip there
@@ -196,9 +184,10 @@ def test_trace_and_absorbed_angles_match_precise_flows(d_sqrt):
     tips = trace_curve(d_sqrt, 8)
     precise = trace_curve(d_sqrt, 8, PRECISE_FLOW_PARAMS)
     assert max(abs(a.tip - b.tip) for a, b in zip(tips, precise)) < 1e-8
-    for prof, sign in zip(hitting_profile(d_sqrt, n=8), (1.0, -1.0)):
-        ref = [oracles.scipy_absorbed_angle(d_sqrt, t, sign) for t in prof.times]
-        assert np.max(np.abs(prof.angles - ref)) < 1e-10
+    w = extract_welding(d_sqrt, 8)
+    for angles, sign in ((w.theta_plus, 1.0), (w.theta_minus, -1.0)):
+        ref = [oracles.scipy_absorbed_angle(d_sqrt, t, sign) for t in w.times[1:]]
+        assert np.max(np.abs(angles[1:] - ref)) < 1e-10
 
 
 # slopes 6 and -6: on the first cell the minus side starts above its fixed
@@ -251,7 +240,8 @@ def test_absorbed_angles_settle_on_fixed_points():
 
 
 def test_trace_curve_radial_residuals_bound_errors(d_const):
-    # every tip is born in the driver's one cell, so all share one run
+    # every tip is born in the driver's one cell, so all share one run; the
+    # residual is only an error estimate, but on this grid it bounds every tip
     for s in trace_curve(d_const, 128):
         err = abs(s.tip - oracles.radial_tip(s.t))
         assert err < 1e-9
@@ -403,7 +393,7 @@ def test_born_flow_work_does_not_grow(d_sqrt, monkeypatch):
     # evaluations of the trace tips; a speedup must come from cheaper
     # iterations and steps, not from skipped ones.  Measured when the cell
     # maps took the series and Taylor predictors and the quadratic stop:
-    # 535 iterations over the 256 cells of hitting_profile(d_sqrt, 64), at
+    # 535 iterations over the 256 cells of extract_welding(d_sqrt, 64), at
     # most 3 in one cell.  The tip count was
     # measured with the generic tableau loop, before the step was written out:
     # 26448 for trace_curve(d_sqrt, 32)
@@ -422,7 +412,7 @@ def test_born_flow_work_does_not_grow(d_sqrt, monkeypatch):
 
     monkeypatch.setattr(loewner, "_cell_time", counted_time)
     monkeypatch.setattr(loewner, "_cell_map", counted_map)
-    hitting_profile(d_sqrt, 64)
+    extract_welding(d_sqrt, 64)
     assert len(per_cell) == 256
     assert sum(per_cell) <= 535 and max(per_cell) <= 3
 

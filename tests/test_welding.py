@@ -91,6 +91,15 @@ def test_extraction_matches_linear_closed_form(c):
     assert abs(am.angle - want_m[-1]) <= 1e-13
 
 
+def test_extraction_endpoints_match_high_precision_cell_maps(w_sqrt_256):
+    # the last pair comes from the same sweep as the others, and is the
+    # t = 1 column of the 40-digit evaluation of the graded driver's cell maps
+    plus, minus = (side[-1] for side in oracles.SQRT_ABSORBED_ANGLES)
+    assert oracles.SQRT_TIMES[-1] == w_sqrt_256.T
+    assert abs(w_sqrt_256.theta_plus[-1] - plus) <= 1e-14
+    assert abs(w_sqrt_256.theta_minus[-1] - minus) <= 1e-14
+
+
 @pytest.mark.parametrize("cells", [1, 7, 256, 4097])
 @pytest.mark.parametrize("c", [0.4, -1.5])
 def test_extraction_keeps_the_closed_form_across_many_cells(c, cells):
