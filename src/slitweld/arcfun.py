@@ -23,7 +23,6 @@ class ArcFunction:
     arc: OrientedArc
     offsets: np.ndarray
     values: np.ndarray
-    low_confidence: np.ndarray | None = None   # mask of nodes with one-sided data
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)

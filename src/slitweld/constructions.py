@@ -5,7 +5,7 @@ slit through its welding: the boundary normalizer tau of welding.build_tau,
 the piecewise circle extension psi, its harmonic interior extension, the
 sector-shear map q with exact Beltrami data and the closed-form slit-disk map
 h.  compose_f appends the horizon flow to that chain.  The module also holds
-the six-term energy decomposition of psi, the reflection extensions and
+the six-term energy decomposition of psi, the reflection extension and
 Poincare-weighted dilatation integrals.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "build_psi",
     "psi_j_decomposition",
     "reflect_half_extension",
-    "build_capital_psi",
     "slit_map_h",
     "lemma_q_map",
     "poincare_l2_integral",
@@ -232,38 +231,6 @@ def reflect_half_extension(psi_half: ArcHomeomorphism) -> PiecewiseCircleMap:
         CirclePiece(arc(_HALF_PI, -_HALF_PI),
                     lambda th: math.pi - psi_half.angle_map(math.pi - th),
                     lambda th: direct_ld(math.pi - th), "reflection"),
-    ])
-
-
-def build_capital_psi(inner: ArcHomeomorphism) -> PiecewiseCircleMap:
-    """Fourfold reflection of a self-map of the quarter arc from 1 to i.
-
-    Quadrant rules: inner itself; conj o inner o conj below the axis; the
-    z -> -conj(z) reflection on the second quadrant; z -> -inner(-z) on the
-    third.
-    """
-    quarter = arc(0.0, _HALF_PI)
-    _check_self_map(inner, quarter, "inner", "the arc from 1 to i", "1 and i")
-
-    ia = inner.angle_map
-
-    def ild(th):
-        return inner.log_deriv_offset(np.mod(th, TWO_PI))
-
-    return PiecewiseCircleMap([
-        CirclePiece(quarter, ia, ild, "inner"),
-        CirclePiece(arc(_HALF_PI, math.pi),
-                    lambda th: math.pi - ia(math.pi - th),
-                    lambda th: ild(math.pi - th),
-                    "second quadrant reflection"),
-        CirclePiece(arc(math.pi, -_HALF_PI),
-                    lambda th: math.pi + ia(th - math.pi),
-                    lambda th: ild(th - math.pi),
-                    "antipodal copy"),
-        CirclePiece(arc(-_HALF_PI, 0.0),
-                    lambda th: -ia(-th),
-                    lambda th: ild(-th),
-                    "conjugated copy"),
     ])
 
 

@@ -114,7 +114,8 @@ def welding_log_derivative(w: Welding) -> ArcFunction:
     """log |phi'| of the welding phi on the plus arc, from matched-pair slopes.
 
     Interior nodes use centered differences; the two endpoint nodes fall back
-    to one-sided slopes and are marked low-confidence.
+    to one-sided slopes, so analyze drops the two endpoint cells
+    (cli._trimmed_plus_arc).
     """
     tp, tm = w.theta_plus, w.theta_minus
     if tp.size < 3:
@@ -123,9 +124,7 @@ def welding_log_derivative(w: Welding) -> ArcFunction:
     vals[1:-1] = np.log(np.abs((tm[2:] - tm[:-2]) / (tp[2:] - tp[:-2])))
     vals[0] = math.log(abs((tm[1] - tm[0]) / (tp[1] - tp[0])))
     vals[-1] = math.log(abs((tm[-1] - tm[-2]) / (tp[-1] - tp[-2])))
-    mask = np.zeros(tp.size, dtype=bool)
-    mask[0] = mask[-1] = True
-    return ArcFunction(w.arc_plus, tp.copy(), vals, low_confidence=mask)
+    return ArcFunction(w.arc_plus, tp.copy(), vals)
 
 
 def welding_as_homeomorphism(w: Welding) -> ArcHomeomorphism:

@@ -98,6 +98,7 @@ def test_mobius_from_triple_anchors_and_order():
     m = mobius_from_triple(src, dst)
     for s, t in zip(src, dst):
         assert abs(m(s.z) - t.z) < 1e-12
+        assert abs(canonical_angle(m.apply_angle(s.angle) - t.angle)) < 1e-12
     with pytest.raises(ValidationError):
         mobius_from_triple((src[0], src[2], src[1]), dst)
 

@@ -279,7 +279,24 @@ def test_plot_variants(workdir):
 
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
-    assert "all checks passed" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   flow normalization at 0",
+        "ok   constant-driver boundary symmetry",
+        "ok   seminorm of cos",
+        "selftest: all checks passed",
+    ]
+
+
+def test_selftest_failing_check_exits_1(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("off by one")
+
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [("broken check", broken)])
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL broken check: off by one",
+        "selftest: 1 failures",
+    ]
 
 
 def test_validation_exit_codes(tmp_path, driver_path):

@@ -19,7 +19,6 @@ from slitweld.constructions import (
     DiskMapEvaluator,
     PiecewiseCircleMap,
     _HarmonicExtension,
-    build_capital_psi,
     build_psi,
     build_tau,
     compose_f,
@@ -131,21 +130,6 @@ def test_reflect_half_extension_symmetry():
         reflect_half_extension(bad)
 
 
-def test_build_capital_psi_symmetries():
-    quarter = arc(0.0, 0.5 * math.pi)
-    s = np.linspace(0.0, 0.5 * math.pi, 33)
-    inner = ArcHomeomorphism(quarter, quarter, s, s + 0.1 * np.sin(4.0 * s))
-    big = build_capital_psi(inner)
-    th = np.linspace(0.05, 0.5 * math.pi - 0.05, 21)
-    # odd symmetry and the antipodal copy across all four quadrants
-    assert np.max(np.abs(_canon(big.apply_angle(-th) + big.apply_angle(th)))) < 1e-9
-    assert np.max(np.abs(_canon(big.apply_angle(_canon(th + math.pi))
-                                - big.apply_angle(th) - math.pi))) < 1e-9
-    with pytest.raises(ValidationError):
-        build_capital_psi(ArcHomeomorphism(quarter, quarter, s,
-                                           np.linspace(0.1, 0.5 * math.pi, 33)))
-
-
 def test_slit_map_h_normalizations_and_roundtrip():
     for beta in (0.0, 0.35, -0.6):
         ev, t_slit, c = slit_map_h(beta)
@@ -155,8 +139,11 @@ def test_slit_map_h_normalizations_and_roundtrip():
         assert abs(complex(ev(1.0)) - t_slit) < 1e-12
         zz = np.array([0.2 + 0.1j, -0.4 + 0.5j, 0.1 - 0.7j])
         assert np.max(np.abs(ev.inverse(ev.fn(zz)) - zz)) < 1e-10
-    _, t_slit, _ = slit_map_h(0.0)
+    ev, t_slit, c = slit_map_h(0.0)
     assert abs(t_slit - T_SLIT_LOG2) < 1e-12
+    # |h'(0)| = c^2 at beta = 0, by a forward difference
+    eps = 1e-6
+    assert abs(abs(complex(ev(eps)) - complex(ev(0.0))) / eps - c * c) < 1e-4
     with pytest.raises(ValidationError):
         slit_map_h(1.0)
 
@@ -166,6 +153,7 @@ def test_lemma_q_map_anchors_and_inverse():
     q_ev, mu_q = lemma_q_map(z0, r)
     img = complex(q_ev(z0))
     assert abs(img.imag) < 1e-12 and abs(img) < r
+    assert 0.0 <= mu_q.k_bound < 1.0
     # identity outside the subdisk, continuity on its rim
     assert complex(q_ev(0.9 + 0j)) == 0.9 + 0j
     assert complex(q_ev(0.85j)) == 0.85j
@@ -233,7 +221,7 @@ def test_welding_construction_radial_chain():
     assert abs(built["tau"].pole) < 1e-9
     assert abs(built["u0"]) < 1e-6
     assert abs(built["beta"]) < 1e-6
-    assert abs(built["t_slit"] - T_SLIT_LOG2) < 1e-6
+    assert abs(built["t_slit"] - T_SLIT_LOG2) < 1e-9
     assert abs(built["r_q"] - 0.5 * (1.0 + abs(built["u0"]))) < 1e-15
     assert built["mu_q"].k_bound < 1e-5
 

@@ -31,6 +31,7 @@ from slitweld.welding import (
     Welding,
     _conjugated_welding,
     build_tau,
+    extract_welding,
     radial_slit_welding,
     welding_as_homeomorphism,
     welding_log_derivative,
@@ -141,6 +142,8 @@ def test_qs_constant_identity_and_kink():
 def test_qs_constant_radial(w_const_256):
     got = qs_constant(welding_as_homeomorphism(w_const_256), positions=64)
     assert 1.0 <= got < 1.001
+    closed = welding_as_homeomorphism(radial_slit_welding(0.3, n=64))
+    assert qs_constant(closed, positions=64) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mr_constant_values(w_const_256):
@@ -177,6 +180,20 @@ def test_wp_cross_condition_radial(w_const_256):
     incl = wp_cross_condition(w_const_256, m=64, include_alpha_cells=True)
     assert incl["alpha_cells_included"]
     assert incl["value"] < 1e-6
+
+
+def test_wp_doubling_increment_follows_divergence_law(w_sqrt_256):
+    # at the shared endpoint log |chi'| tends to l1, the log-slope ratio of the
+    # first welding cell, so the cross integral grows like l1^2 ln m and each
+    # doubling of the level adds ln 2 * l1^2 (sigma = kappa sqrt(t), kappa = 0.4,
+    # 0.1 and 0.6, graded as d_sqrt)
+    others = [extract_welding(DrivingTerm.from_function(lambda t, k=k: k * np.sqrt(t),
+                                                        1.0, 256, power=2), 256)
+              for k in (0.1, 0.6)]
+    for w in [w_sqrt_256, *others]:
+        r12, r23 = wp_cross_condition(w, m=64, strict=False)["extrapolants"]
+        l1 = math.log(-w.theta_minus[1] / w.theta_plus[1])
+        assert r23 - r12 == pytest.approx(math.log(2.0) * l1 * l1, rel=0.01)
 
 
 def test_bmo_of_extracted_log_derivative(w_const_256):
