@@ -49,8 +49,7 @@ _COUNT_MINIMUMS = {
 # minute on a 2-core x86-64 machine; the costs behind them, measured there:
 _COUNT_MAXIMUMS = {
     "welding_samples": 32768,     # one angle sweep, 0.4 us per sample and cell; _SWEEP_WORK
-    "trace_count": 4096,          # tips born in one cell share a run there: 33 ms for 4096
-                                  # on a 2-node driver, one flow of 0.7 ms per tip on 256 cells
+    "trace_count": 4096,          # one tip sweep; _SWEEP_WORK
     "quad_level": 65536,          # FFT chordal sums: construct 2.8 s and 109 MiB at the cap
     "boundary_samples": 65536,    # 360 bytes of JSON and 0.03 ms per sample
     "profile_samples": 32768,     # as welding_samples
@@ -112,17 +111,18 @@ class RunConfig:
 
 
 # Bound on driver cells x (samples + _SWEEP_CELL_SAMPLES) for weld,
-# trace --profile-samples and construct --driver, each one angle sweep.  A
-# sweep costs about 0.4 us per sample and cell, plus about 0.1 ms per cell,
-# less than 512 samples cost; so a run at the bound takes 3 to 5 s on a
-# 2-core x86-64 machine.
+# trace --profile-samples and construct --driver, each one angle sweep, and
+# for the tip sweep of trace --count.  A sweep costs about 0.4 us per sample
+# and cell, plus about 0.1 ms per cell, less than 512 samples cost; so a run
+# at the bound takes 3 to 5 s on a 2-core x86-64 machine.
 _SWEEP_WORK = 1 << 24
 _SWEEP_CELL_SAMPLES = 512
 
 
-def _check_sweep(d: DrivingTerm, name: str, samples: int):
-    """Reject an angle sweep whose work exceeds _SWEEP_WORK before it starts."""
-    cells = d.grid.size - 1
+def _check_sweep(d: DrivingTerm, name: str, samples: int, cells: int | None = None):
+    """Reject a sweep over cells (the driver's by default) whose work exceeds
+    _SWEEP_WORK before it starts."""
+    cells = d.grid.size - 1 if cells is None else cells
     if cells * (samples + _SWEEP_CELL_SAMPLES) > _SWEEP_WORK:
         raise ValidationError(
             f"driver cells x ({name} + {_SWEEP_CELL_SAMPLES}) = {cells} x "
@@ -151,7 +151,10 @@ def _cmd_trace(args, outputs: list) -> int:
         outputs=tuple(p for p in (args.out, args.profile_out) if p),
         counts={"trace_count": args.count, "profile_samples": args.profile_samples},
     )
-    d = _load_flow_driver(args.driver)
+    d = load_driver(args.driver)
+    # the tip sweep cuts each driver cell into ceil(|delta sigma|) pieces
+    _check_sweep(d, "trace_count", args.count,
+                 int(np.maximum(1.0, np.ceil(np.abs(np.diff(d.sigma)))).sum()))
     if args.profile_out:
         _check_sweep(d, "profile_samples", args.profile_samples)
     outputs.append(args.out)
@@ -431,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Conformal weldings of slit disks from Loewner driving terms.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    tr = sub.add_parser("trace", help="integrate the slit trace to CSV")
+    tr = sub.add_parser("trace", help="slit trace tips by exact driver-cell maps to CSV")
     tr.add_argument("--driver", required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--count", type=int, default=128)

@@ -7,14 +7,14 @@ the downward flow is its horizon-T companion driven by sigma(T - s).  At the
 horizon the two flows are inverse to each other, which is the only time this
 holds.
 
-Every flow walks the driver cells between its start and end time, one
-adaptive Dormand-Prince 5(4) run per cell: sigma is linear on a cell, so the
-right-hand side is smooth there and the run reads sigma from the cell's node
-value and slope.  The step size and the per-flow step budget carry from cell
-to cell.  Besides the usual error control, the interior and boundary flows
-cap the step by _C_STEP * Delta^2, where Delta is the distance to the current
-singularity, and boundary trajectories terminate when they come within
-_EPS_HIT of the driver angle.
+The interior and boundary flows walk the driver cells between their start
+and end time, one adaptive Dormand-Prince 5(4) run per cell: sigma is linear
+on a cell, so the right-hand side is smooth there and the run reads sigma
+from the cell's node value and slope.  The step size and the per-flow step
+budget carry from cell to cell.  Besides the usual error control, these
+flows cap the step by _C_STEP * Delta^2, where Delta is the distance to the
+current singularity, and boundary trajectories terminate when they come
+within _EPS_HIT of the driver angle.
 
 Flows born at the singularity are autonomous on a cell once they move with
 sigma, and both kinds use that.  The angle absorbed at time t runs backward
@@ -25,10 +25,10 @@ of length Delta maps w to F_c^-1(F_c(w) + Delta), the exact linear-driver
 solution of Kager, Nienhuis and Kadanoff (J. Stat. Phys. 2004) taken cell by
 cell.  So the angles of every absorption time, on both sides, are swept from
 the top cell down as one array, one Newton solve per cell.  The trace tips
-run upward from the singularity in the chart q = (1 - g / xi)^2, whose field
-depends only on the cell's slope, so all tips born in one cell share one
-DP5(4) run there, in the time chart rho = sqrt(r) where it is smooth; each
-tip then continues alone through the later cells.
+run upward from the singularity, where p = 1 - g / xi(s) is 0 and a cell of
+slope c gives dp/ds = (1 - p)(2 - (1 - ic) p) / p.  That separates as well,
+so the tips of every time are swept from the bottom cell up as one array,
+again one Newton solve per cell, in the unwrapped chart L = ln(1 - p).
 """
 
 from __future__ import annotations
@@ -132,10 +132,6 @@ class DrivingTerm:
         i = bisect.bisect_right(self._g, t) - 1
         return self._s[i] + self._slope[i] * (t - self._g[i])
 
-    def xi_at(self, t: float) -> complex:
-        """The singularity exp(i sigma(t)) of the upward flow."""
-        return cmath.exp(1j * self.sigma_at(t))
-
     def breaks_in(self, t0: float, t1: float):
         """Interior grid kinks of the right-hand side on the interval (t0, t1)."""
         return self._g[bisect.bisect_right(self._g, t0):bisect.bisect_left(self._g, t1)]
@@ -145,7 +141,7 @@ class DrivingTerm:
 class TraceSample:
     t: float
     tip: complex
-    residual: float           # summed embedded error estimates, carried to the tip
+    residual: float           # Newton error bounds and rounding, carried to the tip
 
 
 # Dormand-Prince 5(4) tableau
@@ -187,9 +183,8 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, stop=None, record=None, h
     integration when true (hit detection); h is the first trial step, by
     default span/16 and at most 0.1; steps is the count the flow has used of
     params.max_steps; clock(t) is the flow's time, for error messages.
-    Returns (t, y, stopped, h, err, steps): h is the step the controller
-    proposes next, so a following run can start from it, and err sums the
-    embedded error estimates of the accepted steps.
+    Returns (t, y, stopped, h, steps): h is the step the controller proposes
+    next, so a following run can start from it.
 
     The step is the tableau written out term by term, left to right with
     its zero coefficients skipped; the seventh stage, taken at the
@@ -197,7 +192,7 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, stop=None, record=None, h
     """
     span = t1 - t0
     if span <= 0.0:
-        return t0, y0, False, h, 0.0, steps
+        return t0, y0, False, h, steps
     t, y = t0, y0
     # the conditional expressions below pick what min and max would, without
     # a builtin call per step
@@ -207,7 +202,6 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, stop=None, record=None, h
     k1 = f(t, y)
     if h is None:
         h = min(span / 16.0, 0.1)
-    err_sum = 0.0
     while t < t_last:
         if steps >= max_steps:
             t = t if clock is None else clock(t)
@@ -244,16 +238,15 @@ def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, stop=None, record=None, h
             t = t1 if snap else t + h
             y = y5
             k1 = k7
-            err_sum += err
             if record is not None:
                 record(t, y)
             if stop is not None and stop(t, y):
-                return t, y, True, h, err_sum, steps
+                return t, y, True, h, steps
             factor = 4.0 if err == 0.0 else 0.9 * (tol / err) ** 0.2
             h = h * (factor if factor < 4.0 else 4.0)
         else:
             h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
-    return t, y, False, h, err_sum, steps
+    return t, y, False, h, steps
 
 
 def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams,
@@ -288,7 +281,7 @@ def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams
         cell += step
         r0 = a - start if forward else start - a
         cap, stop = (None, None) if guard is None else guard(sigma, rate)
-        t, y, stopped, h, _, steps = _dp54(field(sigma, rate), 0.0, abs(b - a), y, params,
+        t, y, stopped, h, steps = _dp54(field(sigma, rate), 0.0, abs(b - a), y, params,
                                            cap, stop, rec, h, steps, clock)
         if stopped:
             return r0 + t, y, True
@@ -441,12 +434,17 @@ def _cell_map(w, dt, c):
     bracket.  It stops once the step, or Newton's quadratic estimate
     e = -v' step^2 / (2v) of the error left after it, is below tolerance,
     and subtracts e where it used the estimate, which brings the result to
-    rounding at no extra evaluation.  Only after an iterate leaves the
-    bracket does the loop narrow the bracket as it goes: an iterate on a
-    bracket end is kept, one outside is replaced by the point halfway between
-    the ends in log distance to w*, which reaches a root exponentially close
-    to w* in a few steps.
+    rounding at no extra evaluation.  F_c grows like -(2/R^2) ln|w - w*|
+    near w*, so on a cell where the angles settle onto w* a Newton step away
+    from w* by more than half the gap x - w* is taken in log distance
+    instead: x -> w* + (x - w*) exp(step / (x - w*)).  Only after an iterate
+    leaves the bracket does the loop narrow the bracket as it goes: an
+    iterate on a bracket end is kept, one outside is replaced by the point
+    halfway between the ends in log distance to w*, which reaches a root
+    exponentially close to w* in a few steps.
     """
+    # angles settle onto w* where (1 + c^2) dt / 2 > 1, and Newton crawls there
+    settle = (1.0 + c[0, 0] * c[0, 0]) * dt.max() > 2.0
     c = c.repeat(w.shape[1], axis=1)   # full columns: broadcasting costs more per call
     wstar = 2.0 * np.arctan2(1.0, -c)   # pi + 2 atan c, without cancellation at c << -1
     time, rate = _cell_time(w, c)
@@ -485,6 +483,10 @@ def _cell_map(w, dt, c):
         time, rate = _cell_time(x, c)
         step = (target - time) * rate
         after = x + step
+        if settle:   # a step away from w* by more than half the gap, in log distance
+            gap = x - wstar
+            away = step / gap
+            after = np.where(away > 0.5, wstar + gap * np.exp(away), after)
         if not guarded and leaves(after):
             guarded = True
             side, lo, hi = bracket()
@@ -540,93 +542,142 @@ def slit_preimage_endpoints(d: DrivingTerm):
     return CirclePoint(am), CirclePoint(ap)
 
 
-def _tip_field(slope: float):
-    """Upward flow from the singularity, in the chart q = (1 - g / xi(s))^2.
+_TIP_BIRTH = 0.01   # a tip is predicted by its birth series until _TIP_BIRTH / (1 + |c|) old
+_ROUNDING = 1e-15   # relative rounding of one evaluation of a tip map's residual
 
-    With p = sqrt(q) = 1 - g / xi(s), dq/ds = 2 (1 - p) (2 - p + i slope p),
-    finite at q = 0.  The flow stays inside the disk, so Re p > 0 and the
-    principal square root is the right branch; the chart turns with xi(s), so
-    the field depends on the cell's slope alone.
+
+def _log1p(z):
+    """log(1 + z) for complex z, to rounding also where |z| is small."""
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
+def _newton(x, residual, tol):
+    """Newton from x, each element alone; returns (root, |e|, F' at the root).
+
+    residual(x) gives (F, F', k = F''/(2F')).  e = k step^2 estimates the
+    error left after the step; the step subtracts it too where |k step| <=
+    1/2 (Chebyshev's cubic step).  An element stops once |e| <= tol and is
+    then held, so it does not depend on the other elements.
     """
-    def rhs(r, q):
-        p = cmath.sqrt(q)
-        return 2.0 * (1.0 - p) * (2.0 - p + 1j * slope * p)
+    done = np.zeros(x.shape, dtype=bool)
+    est, slope = np.zeros(x.shape), np.zeros(x.shape, dtype=complex)
+    for _ in range(_NEWTON_MAX):
+        f, df, curve = residual(x)
+        step = f / df
+        bend = curve * step
+        corr = bend * step
+        e = np.abs(corr)
+        x = np.where(done, x, x - step - np.where(np.abs(bend) <= 0.5, corr, 0.0))
+        est, slope = np.where(done, est, e), np.where(done, slope, df)
+        done |= e <= tol
+        if done.all():
+            return x, est, slope
+    raise DiagnosticsError(f"trace cell map did not converge in {_NEWTON_MAX} Newton steps")
 
-    return rhs
+
+def _tip_map(ell, err, dt, young, youth, a, r2):
+    """Tips L = ln(1 - p) moved by dt on a cell of slope c; returns (L, bounds).
+
+    a = 1 - ic, r2 = 1 + c^2.  The cell adds r2 dt to -a L + 2 ln h, h =
+    1 - a p/2 = 1 + (a/2)(e^L - 1), so Newton solves F(L) = 2 ln(h/h0) -
+    a (L - L0) - r2 dt = 0, with h/h0 = 1 + (a/2) e^L0 (e^(L - L0) - 1)/h0
+    to keep L accurate as p -> 0.  Tips from index young on are young (a
+    newborn one has L0 = 0) and are predicted for time youth by the inverse
+    series p = 2r + b r^2 + e r^3 of r^2 = G(p)/r2, G(p) = -a ln(1 - p) +
+    2 ln(1 - a p/2), at r^2 = G(p0)/r2 + youth, and L by the series of
+    ln(1 - p) to the same order.  Every other step is
+    predicted by step(), second order in dL/ds = 2h/(e^L - 1) and bounded
+    where the Taylor series diverges.  A bound adds the last Newton estimate
+    and the rounding of F over |F'| to the bound so far times dL/dL0 =
+    F'(L0)/F'(L).
+    """
+    def step(x, em, h, dt):   # from L = x, with e^L - 1 = em
+        v = 2.0 * h * dt / em
+        return x + v / (1.0 + (1.0 + em) / (2.0 * h * em) * v)
+
+    m = 0.5 * a
+    em0 = np.expm1(ell)
+    e0, h0 = 1.0 + em0, 1.0 + m * em0
+    x = ell.copy()
+    x[:young] = step(ell[:young], em0[:young], h0[:young], dt[:young])
+    if young < ell.size:
+        # G(p0) = 2 ln h0 - a L0
+        r = np.sqrt((2.0 * _log1p(m * em0[young:]) - a * ell[young:] + r2 * youth) / r2)
+        b = -(4.0 + 2.0 * a) / 3.0
+        e = -0.25 * b * b - (2.0 + a) * b - (2.0 + a + m * a)
+        p = r * (2.0 + r * (b + r * e))
+        ell_p = -r * (2.0 + r * ((b + 2.0) + r * (e + 2.0 * b + 8.0 / 3.0)))
+        x[young:] = step(ell_p, -p, 1.0 - m * p, dt[young:] - youth)
+    rdt, mh0 = r2 * dt, m / h0
+
+    def residual(x):
+        dx = x - ell
+        w = e0 * np.expm1(dx)   # e^L - e^L0
+        h2, em = 2.0 * (h0 + m * w), em0 + w
+        return 2.0 * _log1p(mh0 * w) - a * dx - rdt, r2 * em / h2, (1.0 + em) / (h2 * em)
+
+    x, est, df = _newton(x, residual, _NEWTON_TOL * np.maximum(1.0, np.abs(ell)))
+    rounding = np.abs(x) + (np.abs(a * (x - ell)) + rdt) / np.abs(df)
+    return x, err * np.abs(r2 * em0 / (2.0 * h0 * df)) + est + _ROUNDING * rounding
 
 
-def _trace_samples(d: DrivingTerm, times, params: FlowParams):
+def _trace_samples(d: DrivingTerm, times):
     """Trace samples at the given times in (0, T], in their order.
 
-    The tip at t is the upward flow from the singularity at s = T - t to T.
-    Its birth cell, from s to the cell's upper node, runs in rho = sqrt(r)
-    with r the time since s, where the flow is smooth, and every tip born in
-    one cell follows the same q(rho) there: one _dp54 run per birth cell
-    snaps to each tip's rho in increasing order.  A tip is charged the steps
-    of that run up to its own rho, less the one step that snapped to each
-    earlier tip, so a crowded cell does not exhaust the budget of a tip whose
-    own flow needs few steps.  Each tip then continues alone through the
-    later cells, from the run's step size and its charge.
+    The tip at t is the upward flow from the singularity at s0 = T - t to T.
+    In the chart p = 1 - g/xi(s) a cell of slope c gives dp/ds = (1 - p)(2 -
+    a p)/p, a = 1 - ic, which separates: the cell adds (1 + c^2) Delta to
+    G(p) = -a ln(1 - p) + 2 ln(1 - a p/2).  So one sweep of the cells from
+    the bottom up moves every tip alive in a cell by one vector Newton solve
+    (_tip_map).  A cell is cut into ceil(|delta sigma|) pieces, so |c| Delta
+    <= 1 on each, and a tip is young while under kappa = _TIP_BIRTH / (1 +
+    |c|) old at a piece's start.  The residual bounds the tip's error.
     """
-    g, n = d._g, len(d._slope)
-    births = {}
-    for j, t in enumerate(times):
-        s = d.T - t
-        cell = bisect.bisect_right(g, s) - 1
-        births.setdefault(cell, []).append((g[cell + 1] - s, j, s))
-    xi_end = d.xi_at(d.T)
-    out = [None] * len(times)
-    for cell, tips in births.items():
-        birth = _tip_field(d._slope[cell])
-
-        def f(x, z):   # r = rho^2, so dq/drho = 2 rho dq/dr
-            return 2.0 * x * birth(x * x, z)
-
-        rho, q, h, err, steps = 0.0, 0.0, None, 0.0, 0
-        for span, j, s in sorted(tips):
-            target = math.sqrt(span)
-            if target > rho:
-                if rho > 0.0:
-                    steps -= 1   # the step that snapped to the previous tip was its own
-                _, q, _, h, e, steps = _dp54(f, rho, target, q, params, h=h, steps=steps,
-                                             clock=lambda x: x * x)
-                err += e
-                rho = target
-            q_tip, h_tip, err_tip, steps_tip = q, h * (2.0 * rho), err, steps
-            for k in range(cell + 1, n):
-                r0 = g[k] - s
-                _, q_tip, _, h_tip, e, steps_tip = _dp54(
-                    _tip_field(d._slope[k]), 0.0, g[k + 1] - g[k], q_tip, params, h=h_tip,
-                    steps=steps_tip, clock=lambda x: r0 + x)
-                err_tip += e
-            p = cmath.sqrt(q_tip)
-            out[j] = TraceSample(times[j], xi_end * (1.0 - p), err_tip / (2.0 * abs(p)))
-    for sample in out:
-        if sample.residual > _TRACE_RESIDUAL_TOL:
-            raise TraceError(sample.residual)
-    return out
+    births = d.T - np.asarray(times, dtype=float)
+    order = np.argsort(births, kind="stable")
+    s0 = births[order]
+    ell, err = np.zeros(s0.size, dtype=complex), np.zeros(s0.size)
+    g = d._g
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(int(np.searchsorted(d.grid, s0[0], side="right")) - 1, len(d._slope)):
+            c, pieces = d._slope[i], max(1, math.ceil(abs(d._s[i + 1] - d._s[i])))
+            a, r2, kappa = 1.0 - 1j * c, 1.0 + c * c, _TIP_BIRTH / (1.0 + abs(c))
+            for j in range(pieces):
+                lo = g[i] + (g[i + 1] - g[i]) * j / pieces
+                hi = g[i + 1] if j + 1 == pieces else g[i] + (g[i + 1] - g[i]) * (j + 1) / pieces
+                alive = int(s0.searchsorted(hi))
+                young = int(s0.searchsorted(lo - kappa, side="right"))
+                start = np.maximum(lo, s0[:alive])
+                dt = hi - start
+                youth = np.minimum(dt[young:], s0[young:alive] + kappa - start[young:])
+                ell[:alive], err[:alive] = _tip_map(ell[:alive], err[:alive], dt, young,
+                                                    youth, a, r2)
+    undo = np.argsort(order)
+    tips = cmath.exp(1j * d._s[-1]) * np.exp(ell[undo])
+    residual = np.abs(tips) * (err[undo] + _ROUNDING)
+    over = np.flatnonzero(residual > _TRACE_RESIDUAL_TOL)
+    if over.size:
+        raise TraceError(float(residual[over[0]]))
+    return [TraceSample(t, complex(z), float(r)) for t, z, r in zip(times, tips, residual)]
 
 
-def trace_point(d: DrivingTerm, t: float,
-                params: FlowParams = DEFAULT_FLOW_PARAMS) -> TraceSample:
+def trace_point(d: DrivingTerm, t: float) -> TraceSample:
     """Trace tip gamma(t): the upward flow from the singularity at T - t to T.
 
-    The flow runs in the rotating chart q = (1 - g / xi(s))^2, which is smooth
-    at its start, and the tip is xi(T) (1 - sqrt(q(T))).  The residual is the
-    summed embedded error estimate carried to the tip, |dq| / (2 |sqrt(q)|):
-    an estimate of the tip's error, not a bound on it.
+    It runs through the exact cell maps of the chart p = 1 - g/xi(s), 0 at
+    its start, and the tip is xi(T) (1 - p(T)).  The residual bounds the
+    tip's error: every cell map's Newton error bound and rounding, carried
+    to the tip.
     """
     if not 0.0 < t <= d.T:
         raise ValidationError("trace time must lie in (0, T]")
-    return _trace_samples(d, [t], params)[0]
+    return _trace_samples(d, [t])[0]
 
 
-def trace_curve(d: DrivingTerm, count: int,
-                params: FlowParams = DEFAULT_FLOW_PARAMS):
-    """Trace samples at count times uniform in (0, T], as trace_point gives them.
-
-    Tips born in one driver cell share their run in that cell.
-    """
+def trace_curve(d: DrivingTerm, count: int):
+    """Trace samples at count times uniform in (0, T], as trace_point gives them,
+    from one sweep of the driver cells."""
     if count < 1:
         raise ValidationError("need at least one trace sample")
-    return _trace_samples(d, [d.T * k / count for k in range(1, count + 1)], params)
+    return _trace_samples(d, [d.T * k / count for k in range(1, count + 1)])

@@ -278,6 +278,38 @@ def scipy_absorbed_angle(d, t: float, sign: float, rtol=1e-12, atol=1e-14) -> fl
     return sign * math.sqrt(v)
 
 
+def scipy_trace_tip(d, t: float, rtol=1e-13, atol=1e-15) -> complex:
+    """Trace tip gamma(t): the upward flow from the singularity at T - t to T.
+
+    Integrates with DOP853, one run per driver cell, reading only d.grid and
+    d.sigma.  With p = 1 - g / xi(s), on a cell of slope c the chart q = p^2
+    obeys dq/ds = 2 (1 - p)(2 - (1 - ic) p), which is 4 at the singularity,
+    where q = 0; inside the disk Re p > 0, so p is the principal root of q.
+    The birth cell runs in rho = sqrt(s - s0), where q = 4 rho^2 + O(rho^3)
+    is smooth.  The tip is xi(T) (1 - p(T)).
+    """
+    grid, sigma = np.asarray(d.grid, dtype=float), np.asarray(d.sigma, dtype=float)
+    s0 = grid[-1] - t
+    cell = int(np.searchsorted(grid, s0, side="right")) - 1
+    q = 0j
+    for i in range(cell, grid.size - 1):
+        a = 1.0 - 1j * (sigma[i + 1] - sigma[i]) / (grid[i + 1] - grid[i])
+
+        def dq(r, y, a=a):
+            p = np.sqrt(y[0])
+            return [2.0 * (1.0 - p) * (2.0 - a * p)]
+
+        if i == cell:
+            span, rhs = math.sqrt(grid[i + 1] - s0), (lambda x, y: [2.0 * x * dq(x * x, y)[0]])
+        else:
+            span, rhs = grid[i + 1] - grid[i], dq
+        sol = solve_ivp(rhs, (0.0, span), [q], rtol=rtol, atol=atol, method="DOP853")
+        if not sol.success:
+            raise RuntimeError(f"scipy integration failed: {sol.message}")
+        q = complex(sol.y[0, -1])
+    return cmath.exp(1j * sigma[-1]) * (1.0 - cmath.sqrt(q))
+
+
 # ---------------------------------------------------- forward boundary flow
 
 def hitting_time(d, theta0: float):
@@ -329,19 +361,18 @@ def reference_dp54(f, t0, t1, y0, params, cap=None, stop=None, record=None, h=No
                    steps=0, clock=None):
     """The library's adaptive DP5(4) stepper as a generic tableau loop.
 
-    Same arguments and (t, y, stopped, h, err, steps) result as
+    Same arguments and (t, y, stopped, h, steps) result as
     loewner._dp54; kept as the loop it was written as, so a rewritten stepper
     can be checked against it for bit-identical output.
     """
     span = t1 - t0
     if span <= 0.0:
-        return t0, y0, False, h, 0.0, steps
+        return t0, y0, False, h, steps
     t, y = t0, y0
     h_min = 1e-15 * max(1.0, abs(span))
     k1 = f(t, y)
     if h is None:
         h = min(span / 16.0, 0.1)
-    err_sum = 0.0
     at = (lambda s: s) if clock is None else clock
     while t < t1 - 1e-14 * max(1.0, t1):
         if steps >= params.max_steps:
@@ -381,17 +412,16 @@ def reference_dp54(f, t0, t1, y0, params, cap=None, stop=None, record=None, h=No
             t = t1 if snap else t + h
             y = y5
             k1 = k[6]  # FSAL
-            err_sum += err
             if record is not None:
                 record(t, y)
             if stop is not None and stop(t, y):
-                return t, y, True, h, err_sum, steps
+                return t, y, True, h, steps
             factor = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
             h = h * factor
         else:
             h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
             k1 = k[0]
-    return t, y, False, h, err_sum, steps
+    return t, y, False, h, steps
 
 
 # ------------------------------------------------------- graded driver angles

@@ -18,7 +18,8 @@ import slitweld.constructions as constructions
 from slitweld.cli import _COUNT_MAXIMUMS, _COUNT_MINIMUMS, RunConfig, _exit_code, main
 from slitweld.errors import (AccuracyError, ExtractionError, HitSingularityError,
                              IntegrationError, SlitWeldError, ValidationError)
-from slitweld.serialize import WELDING_HEADER, load_welding_csv, save_welding_csv
+from slitweld.serialize import (WELDING_HEADER, load_csv_columns, load_welding_csv,
+                                save_welding_csv)
 from slitweld.welding import radial_slit_welding
 
 T_LOG2 = math.log(2.0)
@@ -411,16 +412,13 @@ def test_driver_with_more_cells_than_a_flow_has_steps_exits_2_before_flows(
     def reached(*args, **kwargs):
         raise AssertionError("a flow started on a driver that no flow can cross")
 
-    for name in ("trace_curve", "extract_welding", "welding_construction", "pair_residuals",
-                 "compose_f"):
+    for name in ("extract_welding", "welding_construction", "pair_residuals", "compose_f"):
         monkeypatch.setattr(cli, name, reached)
     driver = _write_fine_driver(tmp_path, cli.DEFAULT_FLOW_PARAMS.max_steps + 1)
     out = tmp_path / "out"
-    for argv in (["trace", "--driver", driver, "--out", str(out)],
-                 ["construct", "--welding", closed_form_path, "--driver", driver,
-                  "--out", str(out)]):
-        assert main(argv) == 2
-        assert not out.exists()
+    assert main(["construct", "--welding", closed_form_path, "--driver", driver,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
     # analyze runs no flow, so the driver's own functionals still take it
     assert main(["analyze", "--welding", closed_form_path, "--driver", driver,
                  "--out", str(out), "--quad-level", "64", "--window-samples", "64",
@@ -435,15 +433,18 @@ def _write_fine_driver(tmp_path, cells: int) -> str:
 
 
 def test_weld_takes_a_driver_finer_than_a_flow_can_cross(tmp_path):
-    # the welded angles come from exact cell maps, not from flow steps, so
-    # only trace keeps the cell cap
+    # the welded angles and the trace tips come from exact cell maps, not
+    # from flow steps, so neither keeps the cell cap
     driver = _write_fine_driver(tmp_path, cli.DEFAULT_FLOW_PARAMS.max_steps + 1)
     out = tmp_path / "out.csv"
     assert main(["weld", "--driver", driver, "--out", str(out), "--samples", "8"]) == 0
     w = load_welding_csv(str(out))
     want = oracles.radial_theta_of_time(1.0)
     assert abs(w.theta_plus[-1] - want) < 1e-13 and abs(w.theta_minus[-1] + want) < 1e-13
-    assert main(["trace", "--driver", driver, "--out", str(tmp_path / "t.csv")]) == 2
+    trace = tmp_path / "t.csv"
+    assert main(["trace", "--driver", driver, "--out", str(trace), "--count", "8"]) == 0
+    _, (_, x, y, _) = load_csv_columns(str(trace))
+    assert abs(x[-1] - oracles.radial_tip(1.0)) < 1e-13 and abs(y[-1]) < 1e-13
 
 
 def test_sweep_work_cap_exits_2_before_compute(tmp_path, monkeypatch):
@@ -459,6 +460,12 @@ def test_sweep_work_cap_exits_2_before_compute(tmp_path, monkeypatch):
     assert main(["weld", "--driver", driver, "--out", str(out), "--samples", str(over)]) == 2
     assert main(["trace", "--driver", driver, "--out", str(out), "--profile-out",
                  str(tmp_path / "p.csv"), "--profile-samples", str(over)]) == 2
+    # the tip sweep has the same bound, over the cells cut to |delta sigma| <= 1
+    assert main(["trace", "--driver", _write_fine_driver(tmp_path, 8 * cells),
+                 "--out", str(out), "--count", "4096"]) == 2
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps({"T": 1.0, "grid": [0.0, 1.0], "sigma": [0.0, 8.0 * cells]}))
+    assert main(["trace", "--driver", str(steep), "--out", str(out), "--count", "4096"]) == 2
     assert not out.exists()
 
 
@@ -491,7 +498,7 @@ def test_construct_checks_the_driver_before_construction(tmp_path, closed_form_p
 
 
 def test_trace_count_cap_on_the_linear_driver(tmp_path):
-    # all 4096 tips are born in the driver's one cell and share one run there
+    # all 4096 tips are born in the driver's one cell and move as one array
     driver = tmp_path / "linear.json"
     driver.write_text(json.dumps({"T": 1.0, "grid": [0.0, 1.0], "sigma": [0.0, 0.4]}))
     out = tmp_path / "trace.csv"
