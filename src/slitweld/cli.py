@@ -48,7 +48,7 @@ _COUNT_MINIMUMS = {
 # Caps keep one stage within about 256 MiB of working memory and about a
 # minute on a 2-core x86-64 machine; the costs behind them, measured there:
 _COUNT_MAXIMUMS = {
-    "welding_samples": 32768,     # one angle sweep, 0.4 us per sample and cell; _SWEEP_WORK
+    "welding_samples": 32768,     # one angle sweep, 0.1-0.25 us per sample and cell; _SWEEP_WORK
     "trace_count": 4096,          # one tip sweep; _SWEEP_WORK
     "quad_level": 65536,          # FFT chordal sums: construct 2.8 s and 109 MiB at the cap
     "boundary_samples": 65536,    # 360 bytes of JSON and 0.03 ms per sample
@@ -112,9 +112,11 @@ class RunConfig:
 
 # Bound on driver cells x (samples + _SWEEP_CELL_SAMPLES) for weld,
 # trace --profile-samples and construct --driver, each one angle sweep, and
-# for the tip sweep of trace --count.  A sweep costs about 0.4 us per sample
-# and cell, plus about 0.1 ms per cell, less than 512 samples cost; so a run
-# at the bound takes 3 to 5 s on a 2-core x86-64 machine.
+# for the tip sweep of trace --count.  An angle sweep costs about 0.1 to 0.25
+# us per sample and cell, plus about 0.06 to 0.12 ms per cell, less than 512
+# samples cost; a tip sweep about 0.15 us per tip and cut cell, plus about
+# 0.15 ms per cut cell.  So a run at the bound takes 2 to 3.5 s on a 2-core
+# x86-64 machine.
 _SWEEP_WORK = 1 << 24
 _SWEEP_CELL_SAMPLES = 512
 

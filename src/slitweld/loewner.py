@@ -401,14 +401,15 @@ def boundary_flow(d: DrivingTerm, theta0: float, t_end: float,
 
 _NEWTON_MAX = 60        # Newton iterations a cell map may take
 _NEWTON_TOL = 1e-14     # a cell map stops at an error bound or bracket below _NEWTON_TOL * max(1, w)
-_SERIES_ANGLE = 0.2     # below it the cell map predicts from the inverse series at w = 0
+_SERIES_ANGLE = 0.2     # young angles below it are predicted by the inverse series at w = 0
+_RATE_FLOOR = 1e-14     # an angle rate below _RATE_FLOOR * (1 + c^2) is rounding: w sits on w*
 
 
-def _cell_time(w, c):
+def _cell_time(w, c, r2):
     """(F_c(w), cot(w/2) + c) for the angle flow dw/dr = cot(w/2) + c of a cell.
 
-    F_c(w) = (2/R^2)[c w/2 - ln|cos(w/2) + c sin(w/2)|], R^2 = 1 + c^2, is
-    the reversed time the flow takes from 0 to w below the fixed point
+    F_c(w) = (2/R^2)[c w/2 - ln|cos(w/2) + c sin(w/2)|], R^2 = r2 = 1 + c^2,
+    is the reversed time the flow takes from 0 to w below the fixed point
     w* = pi + 2 atan c, and an antiderivative of 1 / (cot(w/2) + c) on either
     side of it.  The logarithm's argument is 1 + x with x = sin(w/2) (c -
     tan(w/4)), so the logarithm is log1p(x) below w*, exact near w = 0, and
@@ -416,95 +417,118 @@ def _cell_time(w, c):
     """
     half = np.sin(0.5 * w)
     x = half * (c - np.tan(0.25 * w))
-    log = np.log1p(np.where(x > -1.0, x, -2.0 - x))
-    return (c * w - 2.0 * log) / (1.0 + c * c), (1.0 + x) / half
+    below = x > -1.0
+    log = np.log1p(x if np.count_nonzero(below) == below.size else np.where(below, x, -2.0 - x))
+    return (c * w - 2.0 * log) / r2, (1.0 + x) / half
 
 
-def _cell_map(w, dt, c):
-    """Angles w after reversed time dt on a cell of slope c: F_c^-1(F_c(w) + dt).
+def _predict(w, dt, c, target, rate):
+    """Third-order predictor of the cell map from w, rate = cot(w/2) + c.
 
-    w is a (2, k) array and c a (2, 1) column.  Each w moves monotonically
-    toward the fixed point w* and never reaches it, so the root lies in
-    [w, w*) or (w*, w].  Newton starts from a third-order predictor: below
-    _SERIES_ANGLE, births included, the inverse series
-    w = 2 sqrt(r) + (2c/3) r + (c^2/18 - 1/6) r^(3/2) at r = F_c(w) + dt;
-    above it a Taylor step of dw/dr = v = cot(w/2) + c, with v' = -(1 + u^2)/2
-    and v'' = u (1 + u^2)/2 for u = cot(w/2) = v - c.  F_c is convex on each
-    side of w*, so Newton then moves monotonically toward the root inside the
-    bracket.  It stops once the step, or Newton's quadratic estimate
-    e = -v' step^2 / (2v) of the error left after it, is below tolerance,
-    and subtracts e where it used the estimate, which brings the result to
-    rounding at no extra evaluation.  F_c grows like -(2/R^2) ln|w - w*|
-    near w*, so on a cell where the angles settle onto w* a Newton step away
-    from w* by more than half the gap x - w* is taken in log distance
-    instead: x -> w* + (x - w*) exp(step / (x - w*)).  Only after an iterate
-    leaves the bracket does the loop narrow the bracket as it goes: an
-    iterate on a bracket end is kept, one outside is replaced by the point
-    halfway between the ends in log distance to w*, which reaches a root
-    exponentially close to w* in a few steps.
+    An angle below _SERIES_ANGLE and below w* (rate > 0) that the cell
+    carries more than halfway again from 0, F_c(w) < 2 dt, births included,
+    takes the inverse series w = 2 sqrt(r) + (2c/3) r + (c^2/18 - 1/6)
+    r^(3/2) at r = target = F_c(w) + dt.  Every other angle takes a Taylor
+    step of q = w^2, whose rate dq/dr = 2 w v stays smooth as w -> 0, with
+    v = cot(w/2) + c, v' = -(1 + u^2)/2 and v'' = u (1 + u^2)/2 for u =
+    cot(w/2) = v - c.
     """
-    # angles settle onto w* where (1 + c^2) dt / 2 > 1, and Newton crawls there
-    settle = (1.0 + c[0, 0] * c[0, 0]) * dt.max() > 2.0
-    c = c.repeat(w.shape[1], axis=1)   # full columns: broadcasting costs more per call
-    wstar = 2.0 * np.arctan2(1.0, -c)   # pi + 2 atan c, without cancellation at c << -1
-    time, rate = _cell_time(w, c)
-    target = time + dt
-
-    small = w < _SERIES_ANGLE
-    some = small.any()
+    small = (w < _SERIES_ANGLE) & (rate > 0.0) & (target < 3.0 * dt)
+    some = np.count_nonzero(small)
     if some:
         root = np.sqrt(target)
         x = root * (2.0 + root * ((2.0 / 3.0) * c + root * ((c * c - 3.0) / 18.0)))
-    if not small.all():
-        u = rate - c
-        a = 1.0 + u * u   # -2 v'
-        taylor = w + dt * rate * (1.0 - 0.25 * dt * a * (1.0 - dt / 6.0 * (a + 2.0 * u * rate)))
-        x = np.where(small, x, taylor) if some else taylor
+        if some == small.size:
+            return x
+    u = rate - c
+    a = 1.0 + u * u   # -2 v'
+    # q' = 2 w v, q'' = (2v - w a) v, q''' = a v (w (u v + a/2) - 3v)
+    taylor = np.sqrt(w * w + dt * rate * (2.0 * w + dt * (
+        rate - 0.5 * w * a + dt / 6.0 * a * (w * (u * rate + 0.5 * a) - 3.0 * rate))))
+    if some:
+        np.copyto(taylor, x, where=small)
+    return taylor
 
-    def leaves(x):   # some x lies outside [w, w*] or [w*, w]
-        return not ((x - w) * (wstar - x) >= 0.0).all()
+
+def _cell_map(w, dt, c, r2, wstar, settle):
+    """Angles w after reversed time dt on a cell of slope c: F_c^-1(F_c(w) + dt).
+
+    w, dt, c and the fixed points wstar = pi + 2 atan c are (k, 2) arrays,
+    a row per time and both sides; r2 = 1 + c^2 and settle (below) are the
+    cell's.  Each w moves monotonically toward w* and never reaches it, so
+    the root lies in [w, w*) or (w*, w].  Newton starts from _predict.  F_c
+    is convex on each side of w*, so Newton then moves monotonically toward
+    the root inside the bracket.  The result is the last Newton iterate less
+    its quadratic error e = k2 step^2, k2 = F''/(2F') = (1 + u^2)/(4v) with
+    v = cot(w/2) + c and u = v - c, which makes it Chebyshev's step.  The
+    map stops once the error left after that, (2 k2^2 + |k3|) |step|^3 at
+    most to leading order with k3 = F'''/(6F') = (1 + u^2)(1 - u c)/(12
+    v^2), is below tolerance where the rate v is not rounding: an iterate
+    within rounding of w* has a tiny step however far the root is.  F_c
+    grows like -(2/R^2) ln|w - w*| near w*, so on a cell where the angles
+    settle onto w* a Newton step away from w* by more than half the gap x -
+    w* is taken in log distance instead: x -> w* + (x - w*) exp(step / (x -
+    w*)).  Only after an iterate leaves the bracket, or its rate is
+    rounding, does the loop narrow the bracket as it goes, by the sign of
+    F_c(root) - F_c(x) at each iterate inside it; an iterate outside, or
+    whose rate is rounding, is replaced by the point halfway between the
+    ends in log distance to w*, which reaches a root exponentially close to
+    w* in a few steps, and an element whose bracket is below tolerance is
+    done.
+    """
+    time, rate = _cell_time(w, c, r2)
+    target = time + dt
+    x = _predict(w, dt, c, target, rate)
+
+    def outside(x):   # some x lies outside [w, w*] or [w*, w]
+        return np.count_nonzero((x - w) * (wstar - x) >= 0.0) < x.size
 
     def bracket():   # (side, lo, hi) of [w, w*) or (w*, w]
         side = np.where(w > wstar, 1.0, -1.0)
         return (side, np.where(side > 0.0, np.nextafter(wstar, math.inf), w),
                 np.where(side > 0.0, w, np.nextafter(wstar, -math.inf)))
 
-    def inside(x):   # x, or where it left the bracket the midpoint in log distance to w*
-        out = ~((x >= lo) & (x <= hi))
-        if not out.any():
-            return x
-        return np.where(out, wstar + side * np.sqrt((lo - wstar) * (hi - wstar)), x)
+    def midpoint():   # of the bracket, in log distance to w*
+        return wstar + side * np.sqrt((lo - wstar) * (hi - wstar))
 
-    guarded = leaves(x)
+    guarded = outside(x)
     if guarded:
         side, lo, hi = bracket()
-        x = inside(x)
+        x = np.where((x >= lo) & (x <= hi), x, midpoint())
+    floor = _RATE_FLOOR * r2
     for _ in range(_NEWTON_MAX):
-        time, rate = _cell_time(x, c)
-        step = (target - time) * rate
+        time, rate = _cell_time(x, c, r2)
+        miss = target - time
+        step = miss * rate
         after = x + step
         if settle:   # a step away from w* by more than half the gap, in log distance
             gap = x - wstar
             away = step / gap
             after = np.where(away > 0.5, wstar + gap * np.exp(away), after)
-        if not guarded and leaves(after):
+        sure = np.abs(rate) > floor   # off w*, where a small step means nothing
+        if not guarded and (np.count_nonzero(sure) < sure.size or outside(after)):
             guarded = True
             side, lo, hi = bracket()
-        if guarded:
-            lo = np.where(step > 0.0, x, lo)
-            hi = np.where(step < 0.0, x, hi)
-            after = inside(after)
+        if guarded:   # F_c(x) below the target: the root lies between x and w*
+            within = (x >= lo) & (x <= hi)
+            lo = np.where(within & (miss * side < 0.0), x, lo)
+            hi = np.where(within & (miss * side > 0.0), x, hi)
+            sure &= (after >= lo) & (after <= hi)
+            after = np.where(sure, after, midpoint())
         x = after
-        # Newton's error bound or the step is below tolerance, or the bracket
-        # is (a root exponentially close to w* may lie beyond the last float
-        # before it)
-        tol = _NEWTON_TOL * np.maximum(1.0, x)
+        scale = np.maximum(1.0, x)
         u = rate - c
-        err = step * step * (1.0 + u * u) / (4.0 * rate)   # x - root ~ -v' step^2 / (2v)
-        quad = np.abs(err) <= tol
-        done = quad | (np.abs(step) <= tol)
-        if done.all() or (guarded and (done | (hi - lo <= tol)).all()):
-            return np.where(quad, x - err, x)
+        a = 1.0 + u * u
+        err = 0.25 * a * step * miss   # x - root ~ k2 step^2, step = v miss
+        # the error left after subtracting err, (2 k2^2 + |k3|) |step|^3, times 3
+        fine = sure & (np.abs(err * miss) * (1.5 * a + np.abs(1.0 - u * c))
+                       <= (3.0 * _NEWTON_TOL) * scale)
+        # the bracket may collapse first: a root exponentially close to w* may
+        # lie beyond the last float before it
+        done = (fine | (hi - lo <= _NEWTON_TOL * scale)) if guarded else fine
+        if np.count_nonzero(done) == done.size:
+            np.subtract(x, err, out=x, where=fine)
+            return x
     raise DiagnosticsError(f"angle cell map did not converge in {_NEWTON_MAX} Newton steps")
 
 
@@ -517,19 +541,30 @@ def _absorbed_angles(d: DrivingTerm, times) -> np.ndarray:
     the cell starts there at w = 0.  At s = 0, sigma = 0, so theta = sign * w.
     """
     times = np.asarray(times, dtype=float)
-    slope = np.asarray(d._slope)
-    c = np.stack([slope, -slope])
-    first = np.searchsorted(times, d.grid[:-1], side="right")   # first time above each node
-    w = np.zeros((2, times.size))
+    grid, slope = d.grid, np.asarray(d._slope)
+    r2 = 1.0 + slope * slope
+    c = np.stack([slope, -slope], axis=1)
+    wstar = 2.0 * np.arctan2(1.0, -c)   # pi + 2 atan c, without cancellation at c << -1
+    # angles settle onto w* where (1 + c^2) dt / 2 > 1, and Newton crawls
+    # there; dt grows with the time, so its largest is the last time's
+    settle = (r2 * (np.minimum(times[-1], grid[1:]) - grid[:-1]) > 2.0).tolist()
+    r2 = r2.tolist()
+    first = np.searchsorted(times, grid[:-1], side="right").tolist()   # first time above each node
+    # a row per time, both sides; the cell's c, w* and dt in full rows, so
+    # that every operand of a cell map is contiguous: broadcasting and
+    # strided views cost more per call
+    w = np.zeros((times.size, 2))
+    cols, stars, spans = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(int(np.searchsorted(d.grid, times[-1])) - 1, -1, -1):
+        for i in range(int(np.searchsorted(grid, times[-1])) - 1, -1, -1):
             k = first[i]
-            dt = np.minimum(times[k:], d.grid[i + 1]) - d.grid[i]
-            w[:, k:] = _cell_map(w[:, k:], dt, c[:, i:i + 1])
-    if not np.all(np.isfinite(w)):
+            cols[k:], stars[k:] = c[i], wstar[i]
+            spans[k:] = (np.minimum(times[k:], grid[i + 1]) - grid[i])[:, None]
+            w[k:] = _cell_map(w[k:], spans[k:], cols[k:], r2[i], stars[k:], settle[i])
+    if np.count_nonzero(np.isfinite(w)) < w.size:
         raise DiagnosticsError("the angle sweep produced a non-finite angle")
-    w[1] = -w[1]
-    return w
+    w[:, 1] = -w[:, 1]
+    return np.ascontiguousarray(w.T)
 
 
 def slit_preimage_endpoints(d: DrivingTerm):
@@ -543,83 +578,115 @@ def slit_preimage_endpoints(d: DrivingTerm):
 
 
 _TIP_BIRTH = 0.01   # a tip is predicted by its birth series until _TIP_BIRTH / (1 + |c|) old
+_FRESH = 16.0       # a tip under _FRESH piece lengths old is predicted in the chart r
 _ROUNDING = 1e-15   # relative rounding of one evaluation of a tip map's residual
 
 
 def _log1p(z):
     """log(1 + z) for complex z, to rounding also where |z| is small."""
     x, y = z.real, z.imag
-    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    out = np.empty_like(z)
+    np.multiply(0.5, np.log1p(x * (2.0 + x) + y * y), out=out.real)
+    np.arctan2(y, 1.0 + x, out=out.imag)
+    return out
 
 
 def _newton(x, residual, tol):
     """Newton from x, each element alone; returns (root, |e|, F' at the root).
 
-    residual(x) gives (F, F', k = F''/(2F')).  e = k step^2 estimates the
-    error left after the step; the step subtracts it too where |k step| <=
-    1/2 (Chebyshev's cubic step).  An element stops once |e| <= tol and is
-    then held, so it does not depend on the other elements.
+    residual(x) gives (F, F', k = F''/(2F'), j = 2|k|^2 + |F'''/(6F')|).
+    The step subtracts Newton's quadratic error k step^2 too where |k step|
+    <= 1/2 (Chebyshev's cubic step), and e = j |step|^3 bounds the error
+    left after it to leading order; elsewhere e exceeds |k step^2|.  An
+    element stops once e <= tol and is then held, so it does not depend on
+    the other elements.  x is updated in place.
     """
     done = np.zeros(x.shape, dtype=bool)
     est, slope = np.zeros(x.shape), np.zeros(x.shape, dtype=complex)
     for _ in range(_NEWTON_MAX):
-        f, df, curve = residual(x)
+        f, df, curve, cube = residual(x)
         step = f / df
         bend = curve * step
-        corr = bend * step
-        e = np.abs(corr)
-        x = np.where(done, x, x - step - np.where(np.abs(bend) <= 0.5, corr, 0.0))
-        est, slope = np.where(done, est, e), np.where(done, slope, df)
+        live = ~done
+        np.subtract(x, step + np.where(np.abs(bend) <= 0.5, bend * step, 0.0), out=x,
+                    where=live)
+        e = cube * np.abs(step) ** 3
+        np.copyto(est, e, where=live)
+        np.copyto(slope, df, where=live)
         done |= e <= tol
-        if done.all():
+        if np.count_nonzero(done) == done.size:
             return x, est, slope
     raise DiagnosticsError(f"trace cell map did not converge in {_NEWTON_MAX} Newton steps")
 
 
-def _tip_map(ell, err, dt, young, youth, a, r2):
+def _tip_map(ell, err, dt, fresh, young, youth, a, r2):
     """Tips L = ln(1 - p) moved by dt on a cell of slope c; returns (L, bounds).
 
-    a = 1 - ic, r2 = 1 + c^2.  The cell adds r2 dt to -a L + 2 ln h, h =
-    1 - a p/2 = 1 + (a/2)(e^L - 1), so Newton solves F(L) = 2 ln(h/h0) -
+    a = 1 - ic, r2 = 1 + c^2.  The cell adds r2 dt to G(p) = -a L + 2 ln h,
+    h = 1 - a p/2 = 1 + (a/2)(e^L - 1), so Newton solves F(L) = 2 ln(h/h0) -
     a (L - L0) - r2 dt = 0, with h/h0 = 1 + (a/2) e^L0 (e^(L - L0) - 1)/h0
-    to keep L accurate as p -> 0.  Tips from index young on are young (a
-    newborn one has L0 = 0) and are predicted for time youth by the inverse
-    series p = 2r + b r^2 + e r^3 of r^2 = G(p)/r2, G(p) = -a ln(1 - p) +
-    2 ln(1 - a p/2), at r^2 = G(p0)/r2 + youth, and L by the series of
-    ln(1 - p) to the same order.  Every other step is
-    predicted by step(), second order in dL/ds = 2h/(e^L - 1) and bounded
-    where the Taylor series diverges.  A bound adds the last Newton estimate
-    and the rounding of F over |F'| to the bound so far times dL/dL0 =
-    F'(L0)/F'(L).
+    to keep L accurate as p -> 0.  Tips before index fresh are at least
+    _FRESH piece lengths old and are predicted by a step second order in
+    dL/ds = 2h/(e^L - 1), bounded where its Taylor series diverges.  Near birth that
+    series converges only over about the tip's age, so the others are
+    predicted in the chart r = (G(p)/r2)^(1/2), which the cell moves from r0
+    to (r0^2 + dt)^(1/2) and in which L is analytic at birth: a Taylor step
+    of third order in r, with dL/dr = 2r dL/ds.  Tips from index young on
+    are young (a newborn one has L0 = 0 and r0 = 0): they first take the
+    inverse series p = 2r + b r^2 + e r^3 + g r^4 of r^2 = G(p)/r2 at r^2 =
+    G(p0)/r2 + youth, and L by the series of ln(1 - p) to the same order,
+    then the Taylor step in r for the rest of dt.  A bound adds the last
+    Newton estimate and the rounding of F over |F'| to the bound so far
+    times dL/dL0 = F'(L0)/F'(L).
     """
-    def step(x, em, h, dt):   # from L = x, with e^L - 1 = em
-        v = 2.0 * h * dt / em
-        return x + v / (1.0 + (1.0 + em) / (2.0 * h * em) * v)
-
     m = 0.5 * a
     em0 = np.expm1(ell)
-    e0, h0 = 1.0 + em0, 1.0 + m * em0
+    me0 = m * em0
+    e0, h0 = 1.0 + em0, 1.0 + me0
     x = ell.copy()
-    x[:young] = step(ell[:young], em0[:young], h0[:young], dt[:young])
-    if young < ell.size:
-        # G(p0) = 2 ln h0 - a L0
-        r = np.sqrt((2.0 * _log1p(m * em0[young:]) - a * ell[young:] + r2 * youth) / r2)
+    em, h = em0[:fresh], h0[:fresh]
+    v = 2.0 * h * dt[:fresh] / em
+    x[:fresh] += v / (1.0 + 0.5 * (1.0 + em) * v / (h * em))
+    # the fresh tips start from the tip, or a young one's series point at youth
+    em, span = em0[fresh:].copy(), dt[fresh:].copy()
+    rho2 = (2.0 * _log1p(me0[fresh:]) - a * ell[fresh:]) / r2   # r^2 = G(p0)/r2
+    young -= fresh
+    if young < em.size:
+        r = np.sqrt(rho2[young:] + youth)
         b = -(4.0 + 2.0 * a) / 3.0
         e = -0.25 * b * b - (2.0 + a) * b - (2.0 + a + m * a)
-        p = r * (2.0 + r * (b + r * e))
-        ell_p = -r * (2.0 + r * ((b + 2.0) + r * (e + 2.0 * b + 8.0 / 3.0)))
-        x[young:] = step(ell_p, -p, 1.0 - m * p, dt[young:] - youth)
-    rdt, mh0 = r2 * dt, m / h0
+        g = (8.0 * a * b - 2.0 * (2.0 + a) * e - 5.0 * b * e) / 10.0
+        p = r * (2.0 + r * (b + r * (e + r * g)))
+        x[fresh + young:] = -r * (2.0 + r * ((b + 2.0) + r * ((e + 2.0 * b + 8.0 / 3.0) + r * (
+            g + 0.5 * b * b + 2.0 * e + 4.0 * b + 4.0))))
+        em[young:], rho2[young:] = -p, r * r
+        span[young:] -= youth
+    # third order in r from r0 to r1 = (r0^2 + span)^(1/2), on the branch of
+    # r0: adding span > 0 to r0^2 crosses no branch cut of the square root.
+    # dL/dr = 2r f with f = dL/ds = 2h/(e^L - 1) = 2t + a, t = 1/(e^L - 1),
+    # and in L, f' = -2t (t + 1) and f f'' + f'^2 = -f' (t (6t + 4 + 2a) + a)
+    rho = np.sqrt(rho2)
+    dr = span / (np.sqrt(rho2 + span) + rho)
+    t = 1.0 / em
+    f1 = -2.0 * t * (t + 1.0)
+    q = 2.0 * rho2
+    third = (2.0 / 3.0) * dr * rho * f1 * (3.0 - q * (t * (6.0 * t + (4.0 + 2.0 * a)) + a))
+    x[fresh:] += dr * (2.0 * t + a) * (2.0 * rho + dr * (1.0 + q * f1 + third))
+    rdt, mh0, h02 = r2 * dt, m / h0, 2.0 * h0
 
     def residual(x):
         dx = x - ell
         w = e0 * np.expm1(dx)   # e^L - e^L0
-        h2, em = 2.0 * (h0 + m * w), em0 + w
-        return 2.0 * _log1p(mh0 * w) - a * dx - rdt, r2 * em / h2, (1.0 + em) / (h2 * em)
+        h2, em = h02 + a * w, em0 + w   # 2h = 2h0 + a w
+        eh = (1.0 + em) / h2
+        k = eh / em
+        # F'''/(6F') = k (1 - 2a e^L / h2) / 3
+        return (2.0 * _log1p(mh0 * w) - a * dx - rdt, r2 * em / h2, k,
+                np.abs(k) * (2.0 * np.abs(k) + np.abs(1.0 - 2.0 * a * eh) / 3.0))
 
     x, est, df = _newton(x, residual, _NEWTON_TOL * np.maximum(1.0, np.abs(ell)))
     rounding = np.abs(x) + (np.abs(a * (x - ell)) + rdt) / np.abs(df)
-    return x, err * np.abs(r2 * em0 / (2.0 * h0 * df)) + est + _ROUNDING * rounding
+    return x, err * np.abs(r2 * em0 / (h02 * df)) + est + _ROUNDING * rounding
 
 
 def _trace_samples(d: DrivingTerm, times):
@@ -632,27 +699,35 @@ def _trace_samples(d: DrivingTerm, times):
     the bottom up moves every tip alive in a cell by one vector Newton solve
     (_tip_map).  A cell is cut into ceil(|delta sigma|) pieces, so |c| Delta
     <= 1 on each, and a tip is young while under kappa = _TIP_BIRTH / (1 +
-    |c|) old at a piece's start.  The residual bounds the tip's error.
+    |c|) old at a piece's start and fresh while under _FRESH piece lengths
+    old.  The residual bounds the tip's error.
     """
     births = d.T - np.asarray(times, dtype=float)
     order = np.argsort(births, kind="stable")
     s0 = births[order]
     ell, err = np.zeros(s0.size, dtype=complex), np.zeros(s0.size)
-    g = d._g
+    # every piece of the cells from the first birth up, with the tips alive,
+    # fresh and young on it
+    first = int(np.searchsorted(d.grid, s0[0], side="right")) - 1
+    per_cell = np.maximum(1, np.ceil(np.abs(np.diff(d.sigma[first:]))).astype(int))
+    cell = np.repeat(np.arange(first, d.grid.size - 1), per_cell)
+    j = np.arange(cell.size) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+    n, g0, g1 = per_cell[cell - first], d.grid[cell], d.grid[cell + 1]
+    los = g0 + (g1 - g0) * j / n
+    his = np.where(j + 1 == n, g1, g0 + (g1 - g0) * (j + 1) / n)
+    c = np.asarray(d._slope)[cell]
+    kappas = _TIP_BIRTH / (1.0 + np.abs(c))
+    young = s0.searchsorted(los - kappas, side="right")
+    fresh = np.minimum(young, s0.searchsorted(los - _FRESH * (his - los), side="right"))
+    pieces = zip(los.tolist(), his.tolist(), kappas.tolist(), s0.searchsorted(his).tolist(),
+                 fresh.tolist(), young.tolist(), (1.0 - 1j * c).tolist(), (1.0 + c * c).tolist())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(int(np.searchsorted(d.grid, s0[0], side="right")) - 1, len(d._slope)):
-            c, pieces = d._slope[i], max(1, math.ceil(abs(d._s[i + 1] - d._s[i])))
-            a, r2, kappa = 1.0 - 1j * c, 1.0 + c * c, _TIP_BIRTH / (1.0 + abs(c))
-            for j in range(pieces):
-                lo = g[i] + (g[i + 1] - g[i]) * j / pieces
-                hi = g[i + 1] if j + 1 == pieces else g[i] + (g[i + 1] - g[i]) * (j + 1) / pieces
-                alive = int(s0.searchsorted(hi))
-                young = int(s0.searchsorted(lo - kappa, side="right"))
-                start = np.maximum(lo, s0[:alive])
-                dt = hi - start
-                youth = np.minimum(dt[young:], s0[young:alive] + kappa - start[young:])
-                ell[:alive], err[:alive] = _tip_map(ell[:alive], err[:alive], dt, young,
-                                                    youth, a, r2)
+        for lo, hi, kappa, alive, fresh, young, a, r2 in pieces:
+            start = np.maximum(lo, s0[:alive])
+            dt = hi - start
+            youth = np.minimum(dt[young:], s0[young:alive] + kappa - start[young:])
+            ell[:alive], err[:alive] = _tip_map(ell[:alive], err[:alive], dt, fresh, young,
+                                                youth, a, r2)
     undo = np.argsort(order)
     tips = cmath.exp(1j * d._s[-1]) * np.exp(ell[undo])
     residual = np.abs(tips) * (err[undo] + _ROUNDING)

@@ -438,6 +438,16 @@ SQRT_ABSORBED_ANGLES = (
      -1.14456043691548399185220013880090900792, -1.549426678535402882448932427582962587749),
 )
 
+# Trace tips (real, imaginary) at SQRT_TIMES under the same driver, each born
+# at the float T - t: a 50-digit Taylor integration of the tip flow, polished
+# on the exact cell maps, by tests/tip_map_table.py, which reruns it.
+SQRT_TRACE_TIPS = (
+    (0.825611341106041741379062388969513559263, 0.3486727860169321286228981717959329791554),
+    (0.4895883060994361814796038644599187275742, 0.1991048429572711322986518656030778148567),
+    (0.21762544401633318322862274280910649338, 0.07229618528959102606170760814772439021702),
+    (0.1136433001398681230375802473234735630664, 0.02020044474444800999131099424949111206585),
+)
+
 
 # ------------------------------------------------------------- random drivers
 
