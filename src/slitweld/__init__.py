@@ -11,7 +11,7 @@ from .arcfun import ArcFunction, ArcHomeomorphism
 from .circle import (CirclePoint, MobiusCircleMap, OrientedArc, arc,
                      canonical_angle, mobius_from_triple)
 from .constructions import (BeltramiField, CirclePiece, DiskMapEvaluator,
-                            PiecewiseCircleMap, build_psi, compose_f, lemma_q_map,
+                            PiecewiseCircleMap, build_psi, lemma_q_map,
                             poincare_l2_integral, psi_j_decomposition,
                             reflect_half_extension, slit_map_h, welding_construction)
 from .errors import (AccuracyError, DiagnosticsError, ExtractionError,

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import arc, canonical_angle
-from .constructions import compose_f, psi_j_decomposition, welding_construction
+from .constructions import psi_j_decomposition, welding_construction
 from .errors import (AccuracyError, ExtractionError, IntegrationError, SlitWeldError,
                      ValidationError)
-from .loewner import (DEFAULT_FLOW_PARAMS, DrivingTerm, boundary_flow, trace_curve,
-                      upward_flow)
+from .loewner import DrivingTerm, boundary_flow, trace_curve, upward_flow
 from .regularity import (h_half_seminorm, h_half_seminorm_detail, loewner_energy,
                          lip_half_norm, mr_constant, qs_constant, vmo_curve,
                          wp_cross_condition)
@@ -129,21 +128,6 @@ def _check_sweep(d: DrivingTerm, name: str, samples: int, cells: int | None = No
         raise ValidationError(
             f"driver cells x ({name} + {_SWEEP_CELL_SAMPLES}) = {cells} x "
             f"({samples} + {_SWEEP_CELL_SAMPLES}) exceeds {_SWEEP_WORK}")
-
-
-def _load_flow_driver(path: str) -> DrivingTerm:
-    """A driver for a stage that runs full-horizon flows.
-
-    Every flow takes at least one step per driver cell, and all its steps
-    share one budget of DEFAULT_FLOW_PARAMS.max_steps, so on a driver with
-    more cells every such flow would fail; it is rejected before any runs.
-    """
-    d = load_driver(path)
-    cells, budget = d.grid.size - 1, DEFAULT_FLOW_PARAMS.max_steps
-    if cells > budget:
-        raise ValidationError(f"driver has {cells} cells, more than the {budget} steps "
-                              "a flow may take; every flow would fail")
-    return d
 
 
 def _cmd_trace(args, outputs: list) -> int:
@@ -276,7 +260,7 @@ def _cmd_construct(args, outputs: list) -> int:
         tolerances={"quad_agree": args.agree_tol},
     )
     w = load_welding_csv(args.welding)
-    d = _load_flow_driver(args.driver) if args.driver else None
+    d = load_driver(args.driver) if args.driver else None
     if d is not None:
         _check_sweep(d, "welding pairs", w.times.size)
         res = pair_residuals(d, w)
@@ -330,9 +314,11 @@ def _cmd_construct(args, outputs: list) -> int:
 
     composite = None
     if d is not None:
-        f = compose_f(d, built)
+        # the chain's image of 0, then the horizon flow: that fixes 0 with
+        # derivative e^-T, and pair_residuals has matched w.T to d.T
+        z0 = tau(built["ext"](built["q"].inverse(built["h"].inverse(0j))))
         composite = {
-            "f0_abs": abs(complex(f(0.0))),
+            "f0_abs": math.exp(-w.T) * abs(z0),
             "pair_residual_max": float(np.max(res)),
             "pair_residual_count": int(res.size),
             "note": "residuals are the angle gaps between each welded pair and the "

@@ -4,9 +4,8 @@ welding_construction builds, once per welding, the chain that describes the
 slit through its welding: the boundary normalizer tau of welding.build_tau,
 the piecewise circle extension psi, its harmonic interior extension, the
 sector-shear map q with exact Beltrami data and the closed-form slit-disk map
-h.  compose_f appends the horizon flow to that chain.  The module also holds
-the six-term energy decomposition of psi, the reflection extension and
-Poincare-weighted dilatation integrals.
+h.  The module also holds the six-term energy decomposition of psi, the
+reflection extension and Poincare-weighted dilatation integrals.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 from .arcfun import ArcHomeomorphism
 from .circle import TWO_PI, OrientedArc, arc, canonical_angle
 from .errors import AccuracyError, IntegrationError, ValidationError
-from .loewner import DrivingTerm, upward_flow
 from .regularity import h_half_seminorm_detail
 from .welding import Welding, _conjugated_welding, build_tau
 
@@ -37,7 +35,6 @@ __all__ = [
     "lemma_q_map",
     "poincare_l2_integral",
     "welding_construction",
-    "compose_f",
 ]
 
 _HALF_PI = 0.5 * math.pi
@@ -429,7 +426,7 @@ def welding_construction(w: Welding) -> dict:
     tau normalizes the welded endpoints to +-i, psi extends the conjugated
     welding to the circle, ext is its interior extension, the shear q moves
     u0 = ext^-1(tau's zero preimage) to the real point beta, and h opens the
-    disk slit at t_slit = (1-c)/(1+c).  compose_f appends the horizon flow.
+    disk slit at t_slit = (1-c)/(1+c).
     """
     tau = build_tau(w.alpha_minus, w.alpha_plus)
     psi = build_psi(w)
@@ -443,24 +440,3 @@ def welding_construction(w: Welding) -> dict:
             "q": q_ev, "mu_q": mu_q, "beta": beta, "h": h_ev,
             "t_slit": t_slit, "c": c}
 
-
-def compose_f(d: DrivingTerm, built: dict) -> DiskMapEvaluator:
-    """Map of the reference slit disk onto the complement of the grown slit.
-
-    built is the chain welding_construction returned for the welding of d;
-    it is used as is, not rebuilt.  f chains the inverse slit
-    parametrization h, the inverse shear q, the interior extension of psi,
-    the endpoint normalizer tau and the horizon flow of d.  The slit
-    parameter beta is the real image under q of the preimage of tau's zero,
-    which pins f(0) = 0.
-    """
-    tau, ext, q_ev, h_ev = built["tau"], built["ext"], built["q"], built["h"]
-
-    def f(x):
-        z = h_ev.inverse(complex(x))
-        z = q_ev.inverse(complex(z))
-        z = ext(complex(z))
-        z = tau(z)
-        return upward_flow(d, z, d.T)
-
-    return DiskMapEvaluator("slit_disk", "slit_complement", f)

@@ -684,7 +684,9 @@ def _tip_map(ell, err, dt, fresh, young, youth, a, r2):
         return (2.0 * _log1p(mh0 * w) - a * dx - rdt, r2 * em / h2, k,
                 np.abs(k) * (2.0 * np.abs(k) + np.abs(1.0 - 2.0 * a * eh) / 3.0))
 
-    x, est, df = _newton(x, residual, _NEWTON_TOL * np.maximum(1.0, np.abs(ell)))
+    # scaled by |Re L| only: Im L, the unwrapped winding, grows with no bound
+    # on a steep cell, and the tip's error is |tip| times L's
+    x, est, df = _newton(x, residual, _NEWTON_TOL * np.maximum(1.0, np.abs(ell.real)))
     rounding = np.abs(x) + (np.abs(a * (x - ell)) + rdt) / np.abs(df)
     return x, err * np.abs(r2 * em0 / (h02 * df)) + est + _ROUNDING * rounding
 

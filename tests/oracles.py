@@ -448,6 +448,16 @@ SQRT_TRACE_TIPS = (
     (0.1136433001398681230375802473234735630664, 0.02020044474444800999131099424949111206585),
 )
 
+# Trace tips at SQRT_TIMES under the one-cell driver of slope -100 on [0, 1],
+# on which a tip winds about 100 radians, from the same integration with
+# every cell cut into ceil(|delta sigma|) pieces, as loewner cuts it.
+WINDING_TRACE_TIPS = (
+    (0.6698853818326640678948003316538318714616, 0.6647194155664137595766252202879151869917),
+    (-0.4647371311479835832536882916893248971008, -0.7492157966190979657006591666811996130654),
+    (0.5813583615008338667846630408361759725493, 0.1187026194546471436848720620594170376203),
+    (0.3579478964794442036870692522379195831568, -0.02597456400381022958848258979203428458557),
+)
+
 
 # ------------------------------------------------------------- random drivers
 

@@ -18,6 +18,7 @@ import slitweld.constructions as constructions
 from slitweld.cli import _COUNT_MAXIMUMS, _COUNT_MINIMUMS, RunConfig, _exit_code, main
 from slitweld.errors import (AccuracyError, ExtractionError, HitSingularityError,
                              IntegrationError, SlitWeldError, ValidationError)
+from slitweld.loewner import PRECISE_FLOW_PARAMS, DrivingTerm, upward_flow
 from slitweld.serialize import (WELDING_HEADER, load_csv_columns, load_welding_csv,
                                 save_welding_csv)
 from slitweld.welding import radial_slit_welding
@@ -264,6 +265,32 @@ def test_construct_closed_form(workdir, driver_path, closed_form_path):
     assert Path(out).read_bytes() == first
 
 
+@pytest.mark.parametrize("driver, rel", [("radial", 1e-8), ("linear", 1e-8), ("sqrt", 1e-12)])
+def test_construct_f0_is_the_horizon_flow_of_the_chain_image_of_0(tmp_path, d_sqrt, driver,
+                                                                   rel):
+    # f0_abs is e^-T |chain(0)|: the horizon flow at chain(0), which fixes 0
+    # with derivative e^-T.  |chain(0)| is about 1e-16 on the 2-node drivers,
+    # where the flow's own error is set by its atol, not its rtol
+    d = {"radial": DrivingTerm([0.0, T_LOG2], [0.0, 0.0]),
+         "linear": DrivingTerm([0.0, 1.0], [0.0, 0.4]), "sqrt": d_sqrt}[driver]
+    driver_json = tmp_path / "driver.json"
+    driver_json.write_text(json.dumps({"T": d.T, "grid": d.grid.tolist(),
+                                       "sigma": d.sigma.tolist()}))
+    welding, out = str(tmp_path / "w.csv"), tmp_path / "maps.json"
+    assert main(["weld", "--driver", str(driver_json), "--out", welding,
+                 "--samples", "64"]) == 0
+    # the psi energies' quadrature is not what is checked here; on d_sqrt its
+    # levels 16 and 32 differ by 19%, which exits 4 at the default tolerance
+    assert main(["construct", "--welding", welding, "--driver", str(driver_json),
+                 "--out", str(out), "--quad-level", "16", "--boundary-samples", "16",
+                 "--agree-tol", "0.5"]) == 0
+    got = json.loads(out.read_text())["composite"]["f0_abs"]
+    built = constructions.welding_construction(load_welding_csv(welding))
+    z0 = built["tau"](built["ext"](built["q"].inverse(built["h"].inverse(0j))))
+    want = abs(upward_flow(d, z0, d.T, PRECISE_FLOW_PARAMS))
+    assert abs(got - want) <= rel * want
+
+
 def test_plot_variants(workdir):
     ns = "{http://www.w3.org/2000/svg}"
     for src, n_series in (("trace.csv", 1), ("extracted.csv", 2),
@@ -407,24 +434,6 @@ def test_header_only_welding_exits_2_without_output(tmp_path, stage):
     assert not out.exists()
 
 
-def test_driver_with_more_cells_than_a_flow_has_steps_exits_2_before_flows(
-        tmp_path, closed_form_path, monkeypatch):
-    def reached(*args, **kwargs):
-        raise AssertionError("a flow started on a driver that no flow can cross")
-
-    for name in ("extract_welding", "welding_construction", "pair_residuals", "compose_f"):
-        monkeypatch.setattr(cli, name, reached)
-    driver = _write_fine_driver(tmp_path, cli.DEFAULT_FLOW_PARAMS.max_steps + 1)
-    out = tmp_path / "out"
-    assert main(["construct", "--welding", closed_form_path, "--driver", driver,
-                 "--out", str(out)]) == 2
-    assert not out.exists()
-    # analyze runs no flow, so the driver's own functionals still take it
-    assert main(["analyze", "--welding", closed_form_path, "--driver", driver,
-                 "--out", str(out), "--quad-level", "64", "--window-samples", "64",
-                 "--qs-positions", "16"]) == 0
-
-
 def _write_fine_driver(tmp_path, cells: int) -> str:
     driver = tmp_path / "fine.json"
     driver.write_text(json.dumps({"T": 1.0, "grid": np.linspace(0.0, 1.0, cells + 1).tolist(),
@@ -432,10 +441,11 @@ def _write_fine_driver(tmp_path, cells: int) -> str:
     return str(driver)
 
 
-def test_weld_takes_a_driver_finer_than_a_flow_can_cross(tmp_path):
-    # the welded angles and the trace tips come from exact cell maps, not
-    # from flow steps, so neither keeps the cell cap
-    driver = _write_fine_driver(tmp_path, cli.DEFAULT_FLOW_PARAMS.max_steps + 1)
+def test_weld_takes_a_driver_finer_than_a_flow_can_cross(tmp_path, closed_form_path):
+    # the welded angles, the trace tips and construct's pair residuals come
+    # from exact cell maps, not from flow steps, so no stage caps the cells
+    # at the 4096 steps a flow may take
+    driver = _write_fine_driver(tmp_path, 4097)
     out = tmp_path / "out.csv"
     assert main(["weld", "--driver", driver, "--out", str(out), "--samples", "8"]) == 0
     w = load_welding_csv(str(out))
@@ -445,6 +455,15 @@ def test_weld_takes_a_driver_finer_than_a_flow_can_cross(tmp_path):
     assert main(["trace", "--driver", driver, "--out", str(trace), "--count", "8"]) == 0
     _, (_, x, y, _) = load_csv_columns(str(trace))
     assert abs(x[-1] - oracles.radial_tip(1.0)) < 1e-13 and abs(y[-1]) < 1e-13
+    maps = tmp_path / "maps.json"
+    assert main(["construct", "--welding", str(out), "--driver", driver,
+                 "--out", str(maps), "--quad-level", "16", "--boundary-samples", "16"]) == 0
+    comp = json.loads(maps.read_text())["composite"]
+    assert comp["pair_residual_count"] == 8 and comp["pair_residual_max"] <= 1e-13
+    # analyze runs no flow, so the driver's own functionals take it too
+    assert main(["analyze", "--welding", closed_form_path, "--driver", driver,
+                 "--out", str(tmp_path / "report.json"), "--quad-level", "64",
+                 "--window-samples", "64", "--qs-positions", "16"]) == 0
 
 
 def test_sweep_work_cap_exits_2_before_compute(tmp_path, monkeypatch):
@@ -474,8 +493,7 @@ def test_construct_checks_the_driver_before_construction(tmp_path, closed_form_p
     def reached(*args, **kwargs):
         raise AssertionError("construction started on a welding its driver rejects")
 
-    for name in ("welding_construction", "compose_f"):
-        monkeypatch.setattr(cli, name, reached)
+    monkeypatch.setattr(cli, "welding_construction", reached)
     out = tmp_path / "maps.json"
     other_horizon = _write_fine_driver(tmp_path, 4)
     assert main(["construct", "--welding", closed_form_path, "--driver", other_horizon,
@@ -484,7 +502,7 @@ def test_construct_checks_the_driver_before_construction(tmp_path, closed_form_p
 
     # a welding CSV has no row cap, so its pairs meet the sweep bound here
     monkeypatch.setattr(cli, "pair_residuals", reached)
-    cells = cli.DEFAULT_FLOW_PARAMS.max_steps
+    cells = 4096
     pairs = cli._SWEEP_WORK // cells - cli._SWEEP_CELL_SAMPLES + 1
     w = radial_slit_welding(T_SLIT_LOG2, pairs - 1)
     welding = str(tmp_path / "long.csv")

@@ -21,7 +21,6 @@ from slitweld.constructions import (
     _HarmonicExtension,
     build_psi,
     build_tau,
-    compose_f,
     lemma_q_map,
     poincare_l2_integral,
     psi_j_decomposition,
@@ -224,12 +223,3 @@ def test_welding_construction_radial_chain():
     assert abs(built["t_slit"] - T_SLIT_LOG2) < 1e-9
     assert abs(built["r_q"] - 0.5 * (1.0 + abs(built["u0"]))) < 1e-15
     assert built["mu_q"].k_bound < 1e-5
-
-
-def test_compose_f_radial(d_const):
-    w = radial_slit_welding(T_SLIT_LOG2, n=64)
-    f = compose_f(d_const, welding_construction(w))
-    assert abs(complex(f(0.0 + 0j))) < 1e-8
-    probe = 0.9 * cmath.exp(0.75j * math.pi)
-    img = complex(f(probe))
-    assert abs(img) < 1.0

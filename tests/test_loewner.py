@@ -280,6 +280,19 @@ def test_trace_tips_match_high_precision_table(d_sqrt):
         assert err <= s.residual
 
 
+def test_winding_trace_tips_match_high_precision_table():
+    # slope -100 for unit time: the unwrapped L = ln(1 - p) winds to about
+    # 100 radians, and the tip maps' Newton stop must not grow with it; a
+    # stop scaled by |L| leaves the tips at 0.5 and 1 about 2.3e-13 off.
+    # The largest error measured was 1.0e-14
+    d = DrivingTerm([0.0, 1.0], [0.0, -100.0])
+    for t, (re, im) in zip(oracles.SQRT_TIMES, oracles.WINDING_TRACE_TIPS):
+        s = trace_point(d, t)
+        err = abs(s.tip - complex(re, im))
+        assert err <= 2e-14
+        assert err <= s.residual
+
+
 def test_trace_curve_radial_residuals_bound_errors(d_const):
     # the residual bounds the tip's error; at 1024 tips the earliest tip is
     # born next to the top of the driver's one cell

@@ -1,4 +1,5 @@
-"""Print oracles.SQRT_TRACE_TIPS from a 40-digit integration of the tip flow.
+"""Print oracles.SQRT_TRACE_TIPS and WINDING_TRACE_TIPS from a 40-digit
+integration of the tip flow.
 
 Run from the repository root with mpmath installed (it is not a test
 dependency; the suite reads only the printed literals):
@@ -15,6 +16,12 @@ analytic.  Each cell's end value is then polished by Newton on the exact
 cell map G(p1) - G(p0) = (1 + c^2) dt, G(p) = -a ln(1 - p) + 2 ln(1 - a p/2),
 whose root the Taylor steps select; so nothing but G is shared with
 loewner._tip_map.
+
+The second table is the one-cell driver of slope -100 on [0, 1], on which
+a tip winds about 100 radians.  As in loewner, every cell is cut into
+ceil(|delta sigma|) pieces and each piece is polished on its own, so the
+principal logarithms of G stay on the branch the flow takes; a 70-digit,
+order-60 run with no polish agrees to 50 digits.
 """
 
 import mpmath as mp
@@ -22,7 +29,7 @@ import numpy as np
 
 from slitweld.loewner import DrivingTerm
 
-TIMES = (0.003, 0.1, 0.5, 1.0)   # oracles.SQRT_TIMES
+TIMES = (0.003, 0.1, 0.5, 1.0)   # oracles.SQRT_TIMES, for both tables
 ORDER = 24                       # Taylor terms per step
 
 mp.mp.dps = 50
@@ -68,26 +75,35 @@ def cell_map(p0, p, a, dt):
 def trace_tip(d, t):
     g = [mp.mpf(x) for x in d.grid.tolist()]
     s = [mp.mpf(x) for x in d.sigma.tolist()]
-    s0 = mp.mpf(d.T - t)
+    at = mp.mpf(d.T - t)
     p = None
     for i in range(len(g) - 1):
-        if g[i + 1] <= s0:
+        if g[i + 1] <= at:
             continue
         a = 1 - 1j * (s[i + 1] - s[i]) / (g[i + 1] - g[i])
-        if p is None:
-            dt = g[i + 1] - s0
-            p = cell_map(0, birth_step(a, dt), a, dt)
-        else:
-            dt = g[i + 1] - g[i]
-            p = cell_map(p, taylor_step(p, a, dt), a, dt)
+        n = max(1, int(mp.ceil(abs(s[i + 1] - s[i]))))
+        for j in range(1, n + 1):
+            end = g[i + 1] if j == n else g[i] + (g[i + 1] - g[i]) * j / n
+            if end <= at:
+                continue
+            dt, at = end - at, end
+            guess = birth_step(a, dt) if p is None else taylor_step(p, a, dt)
+            p = cell_map(0 if p is None else p, guess, a, dt)
     return mp.expj(s[-1]) * (1 - p)
 
 
 def main():
-    d = DrivingTerm.from_function(lambda t: 0.4 * np.sqrt(t), 1.0, 256, power=2)
-    for t in TIMES:
-        tip = trace_tip(d, t)
-        print(f"    ({mp.nstr(tip.real, 40)}, {mp.nstr(tip.imag, 40)}),")
+    tables = (
+        ("SQRT_TRACE_TIPS", DrivingTerm.from_function(lambda t: 0.4 * np.sqrt(t), 1.0, 256,
+                                                      power=2)),
+        ("WINDING_TRACE_TIPS", DrivingTerm([0.0, 1.0], [0.0, -100.0])),
+    )
+    for name, d in tables:
+        print(f"{name} = (")
+        for t in TIMES:
+            tip = trace_tip(d, t)
+            print(f"    ({mp.nstr(tip.real, 40)}, {mp.nstr(tip.imag, 40)}),")
+        print(")")
 
 
 if __name__ == "__main__":
