@@ -18,7 +18,7 @@ import slitweld.constructions as constructions
 from slitweld.cli import _COUNT_MAXIMUMS, _COUNT_MINIMUMS, RunConfig, _exit_code, main
 from slitweld.errors import (AccuracyError, ExtractionError, HitSingularityError,
                              IntegrationError, SlitWeldError, ValidationError)
-from slitweld.loewner import PRECISE_FLOW_PARAMS, DrivingTerm, upward_flow
+from slitweld.loewner import DEFAULT_FLOW_PARAMS, PRECISE_FLOW_PARAMS, DrivingTerm, upward_flow
 from slitweld.serialize import (WELDING_HEADER, load_csv_columns, load_welding_csv,
                                 save_welding_csv)
 from slitweld.welding import radial_slit_welding
@@ -432,6 +432,30 @@ def test_header_only_welding_exits_2_without_output(tmp_path, stage):
     out = tmp_path / "out.json"
     assert main([stage, "--welding", str(welding), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_driver_with_more_cells_than_a_flow_has_steps_exits_2_before_flows(
+        tmp_path, closed_form_path, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a sweep started on a driver above the work cap")
+
+    for name in ("trace_curve", "extract_welding", "welding_construction", "pair_residuals"):
+        monkeypatch.setattr(cli, name, reached)
+    # the fewest cells whose sweeps exceed _SWEEP_WORK at any sample count;
+    # no stage caps cells at a flow's step budget, so the work cap is what holds
+    cells = cli._SWEEP_WORK // cli._SWEEP_CELL_SAMPLES
+    assert cells > DEFAULT_FLOW_PARAMS.max_steps
+    driver = _write_fine_driver(tmp_path, cells)
+    out = tmp_path / "out"
+    for argv in (["trace", "--driver", driver, "--out", str(out), "--count", "1"],
+                 ["construct", "--welding", closed_form_path, "--driver", driver,
+                  "--out", str(out)]):
+        assert main(argv) == 2
+        assert not out.exists()
+    # analyze runs no sweep, so the driver's own functionals still take it
+    assert main(["analyze", "--welding", closed_form_path, "--driver", driver,
+                 "--out", str(out), "--quad-level", "64", "--window-samples", "64",
+                 "--qs-positions", "16"]) == 0
 
 
 def _write_fine_driver(tmp_path, cells: int) -> str:
