@@ -383,10 +383,10 @@ def _selftest_checks():
         assert upward_flow(d_const, 0.0, 0.25) == 0.0
 
     def boundary_symmetry():
-        # paths live in the lifted chart (0, 2 pi); reduce before comparing
+        # end angles live in the lifted chart (0, 2 pi); reduce before comparing
         _, a, _ = boundary_flow(d_const, 1.2, 0.3)
         _, b, _ = boundary_flow(d_const, -1.2, 0.3)
-        assert abs(canonical_angle(a[-1]) + canonical_angle(b[-1])) < 1e-8
+        assert abs(canonical_angle(a) + canonical_angle(b)) < 1e-8
 
     def seminorm_cos():
         val = h_half_seminorm(lambda t: np.cos(t), m=64)

@@ -166,99 +166,69 @@ _E = (  # b5 - b4, for the embedded error estimate
     -1 / 40,
 )
 
-# the tableau entries by name, for the written-out step; the last row of _A
-# equals _B, so the seventh stage is evaluated at the fifth-order solution
-_C1, _C2, _C3, _C4, _C5, _C6, _C7 = _C
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
-    (_A61, _A62, _A63, _A64, _A65) = _A[1:6]
-_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _B
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
+def _dp54(f, span, y, params: FlowParams, cap, stop, h, steps, clock):
+    """Adaptive DP5(4) over the flow time [0, span].
 
-def _dp54(f, t0, t1, y0, params: FlowParams, cap=None, stop=None, record=None, h=None,
-          steps=0, clock=None):
-    """Adaptive DP5(4) from t0 to t1.
-
-    cap(t, y) returns an extra bound on the step; stop(t, y) terminates
-    integration when true (hit detection); h is the first trial step, by
-    default span/16 and at most 0.1; steps is the count the flow has used of
+    cap(t, y) bounds the step; stop(t, y), if given, terminates integration
+    when true (hit detection); h is the first trial step, None for span/16
+    and at most 0.1; steps is the count the flow has used of
     params.max_steps; clock(t) is the flow's time, for error messages.
     Returns (t, y, stopped, h, steps): h is the step the controller proposes
     next, so a following run can start from it.
 
-    The step is the tableau written out term by term, left to right with
-    its zero coefficients skipped; the seventh stage, taken at the
-    fifth-order solution, is the first stage of the next step.
+    Every sum skips the tableau's zero coefficients.  The last row of _A equals
+    _B, so the seventh stage is evaluated at the fifth-order solution and is
+    the first stage of the next step.
     """
-    span = t1 - t0
-    if span <= 0.0:
-        return t0, y0, False, h, steps
-    t, y = t0, y0
-    # the conditional expressions below pick what min and max would, without
-    # a builtin call per step
-    atol, rtol, max_steps = params.atol, params.rtol, params.max_steps
-    t_last = t1 - 1e-14 * (t1 if t1 > 1.0 else 1.0)
-    h_min = 1e-15 * (span if span > 1.0 else 1.0)
+    t = 0.0
+    t_last = span - 1e-14 * max(1.0, span)
+    h_min = 1e-15 * max(1.0, span)
     k1 = f(t, y)
     if h is None:
         h = min(span / 16.0, 0.1)
     while t < t_last:
-        if steps >= max_steps:
-            t = t if clock is None else clock(t)
-            raise IntegrationError(f"step budget {max_steps} exhausted at t={t:.6g}")
-        limit = t1 - t
-        h_max = limit
-        if cap is not None:
-            h_max = min(h_max, cap(t, y))
+        if steps >= params.max_steps:
+            raise IntegrationError(f"step budget {params.max_steps} exhausted at t={clock(t):.6g}")
+        limit = span - t
+        h_max = min(limit, cap(t, y))
         if h_max < h_min:
-            t = t if clock is None else clock(t)
             raise DiagnosticsError(
-                f"step collapsed below {h_min:.3g} at t={t:.6g}; driver too rough")
-        if h_max < h:
-            h = h_max
-        snap = h >= limit - 1e-14 * (limit if limit > 1.0 else 1.0)
+                f"step collapsed below {h_min:.3g} at t={clock(t):.6g}; driver too rough")
+        h = min(h, h_max)
+        snap = h >= limit - 1e-14 * max(1.0, limit)
         if snap:
             h = limit
 
-        k2 = f(t + _C2 * h, y + (h * _A21) * k1)
-        k3 = f(t + _C3 * h, y + (h * _A31) * k1 + (h * _A32) * k2)
-        k4 = f(t + _C4 * h, y + (h * _A41) * k1 + (h * _A42) * k2 + (h * _A43) * k3)
-        k5 = f(t + _C5 * h, y + (h * _A51) * k1 + (h * _A52) * k2 + (h * _A53) * k3
-               + (h * _A54) * k4)
-        k6 = f(t + _C6 * h, y + (h * _A61) * k1 + (h * _A62) * k2 + (h * _A63) * k3
-               + (h * _A64) * k4 + (h * _A65) * k5)
-        y5 = (y + (h * _B1) * k1 + (h * _B3) * k3 + (h * _B4) * k4 + (h * _B5) * k5
-              + (h * _B6) * k6)
-        k7 = f(t + _C7 * h, y5)
-        err = abs(h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7))
-        a0, a5 = abs(y), abs(y5)
-        tol = atol + rtol * (a5 if a5 > a0 else a0)
+        k = [k1]
+        for c, row in zip(_C[1:], _A[1:]):
+            y5 = y
+            for a, kj in zip(row, k):
+                if a:
+                    y5 = y5 + (h * a) * kj
+            k.append(f(t + c * h, y5))
+        err = abs(h * sum(e * kj for e, kj in zip(_E, k) if e))
+        tol = params.atol + params.rtol * max(abs(y), abs(y5))
         steps += 1
         if err <= tol:
-            t = t1 if snap else t + h
-            y = y5
-            k1 = k7
-            if record is not None:
-                record(t, y)
+            t = span if snap else t + h
+            y, k1 = y5, k[6]
             if stop is not None and stop(t, y):
                 return t, y, True, h, steps
-            factor = 4.0 if err == 0.0 else 0.9 * (tol / err) ** 0.2
-            h = h * (factor if factor < 4.0 else 4.0)
+            h *= 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
         else:
-            h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
+            h *= max(0.2, 0.9 * (tol / err) ** 0.2)
     return t, y, False, h, steps
 
 
-def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams,
-          guard=None, record=None):
+def _walk(d: DrivingTerm, start: float, end: float, y, field, guard, params: FlowParams):
     """Integrate y from driver time start to end, one _dp54 run per driver cell.
 
     Time runs forward when end > start and backward otherwise.  On a cell
     entered at a, sigma = sigma_a + rate r with r = |s - a|; field(sigma_a,
-    rate) is dy/dr there and guard(sigma_a, rate), if given, the (cap, stop)
-    pair.  The step size and the step budget carry across cells.  Returns
-    (r, y, stopped) in the flow's time r = |s - start|, as record(r, y) gets
-    it.
+    rate) is dy/dr there and guard(sigma_a, rate) the (cap, stop) pair.  The
+    step size and the step budget carry across cells.  Returns (r, y,
+    stopped) at the last step, in the flow's time r = |s - start|.
     """
     forward = end > start
     if forward:
@@ -272,7 +242,6 @@ def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams
     def clock(t):   # the flow's time; r0 is read when called, at the current cell
         return r0 + t
 
-    rec = None if record is None else (lambda t, z: record(r0 + t, z))
     for a, b in zip(nodes, nodes[1:]):
         slope = d._slope[cell]
         # cell + side: the cell's node on the side of a
@@ -280,12 +249,11 @@ def _walk(d: DrivingTerm, start: float, end: float, y, field, params: FlowParams
         rate = slope if forward else -slope
         cell += step
         r0 = a - start if forward else start - a
-        cap, stop = (None, None) if guard is None else guard(sigma, rate)
-        t, y, stopped, h, steps = _dp54(field(sigma, rate), 0.0, abs(b - a), y, params,
-                                           cap, stop, rec, h, steps, clock)
+        t, y, stopped, h, steps = _dp54(field(sigma, rate), abs(b - a), y, params,
+                                           *guard(sigma, rate), h, steps, clock)
         if stopped:
-            return r0 + t, y, True
-    return abs(end - start), y, False
+            break
+    return r0 + t, y, stopped
 
 
 def _validate_time(d: DrivingTerm, t: float) -> float:
@@ -322,13 +290,12 @@ def _disk_flow(d: DrivingTerm, z: complex, t: float, params: FlowParams, up: boo
     downward flow stops once |xi - g| < _SING_EPS.
     """
     t = _validate_time(d, t)
-    if abs(z) >= 1.0:
-        raise ValidationError("Loewner flow needs a point strictly inside the disk")
+    if not abs(z) < 1.0:
+        raise ValidationError("Loewner flow needs a finite point strictly inside the disk")
     if z == 0:
         return 0j
     if t == 0.0:
         return complex(z)
-    c_step, sing_eps = _C_STEP, _SING_EPS   # read once per flow, not per step
 
     def field(sigma, rate):
         def rhs(r, y):
@@ -340,15 +307,15 @@ def _disk_flow(d: DrivingTerm, z: complex, t: float, params: FlowParams, up: boo
     def guard(sigma, rate):
         def cap(r, y):
             delta = abs(cmath.exp(1j * (sigma + rate * r)) - y)
-            return max(c_step * delta * delta, 1e-14)
+            return max(_C_STEP * delta * delta, 1e-14)
 
         def stop(r, y):
-            return abs(cmath.exp(1j * (sigma + rate * r)) - y) < sing_eps
+            return abs(cmath.exp(1j * (sigma + rate * r)) - y) < _SING_EPS
 
         return cap, (None if up else stop)
 
     start, end = (0.0, t) if up else (d.T, d.T - t)
-    s_end, y, hit = _walk(d, start, end, complex(z), field, params, guard)
+    s_end, y, hit = _walk(d, start, end, complex(z), field, guard, params)
     if hit:
         raise HitSingularityError(s_end)
     return y
@@ -356,20 +323,22 @@ def _disk_flow(d: DrivingTerm, z: complex, t: float, params: FlowParams, up: boo
 
 def boundary_flow(d: DrivingTerm, theta0: float, t_end: float,
                   params: FlowParams = DEFAULT_FLOW_PARAMS):
-    """Angle path theta(t) of a boundary point until it hits or reaches t_end.
+    """End state (t, theta, hit) of a boundary point's angle flow from theta0.
 
-    Returns (times, angles, hit).  The path runs in the lifted chart
-    sigma < theta < sigma + 2pi, and hit is True when it came within _EPS_HIT
-    of the singularity; reduce with canonical_angle for circle positions.
+    The flow runs until it hits or reaches t_end, in the lifted chart sigma
+    < theta < sigma + 2pi; hit is True when it came within _EPS_HIT of the
+    singularity, at time t.  Reduce theta with canonical_angle for a circle
+    position.
     """
     t_end = _validate_time(d, t_end)
+    if not math.isfinite(theta0):
+        raise ValidationError("boundary flow needs a finite start angle")
     sigma0 = d.sigma_at(0.0)
     u0 = math.fmod(theta0 - sigma0, TWO_PI)
     if u0 < 0.0:
         u0 += TWO_PI
     if u0 < _EPS_HIT or TWO_PI - u0 < _EPS_HIT:
-        return np.array([0.0]), np.array([theta0]), True
-    c_step, eps_hit = _C_STEP, _EPS_HIT   # read once per flow, not per step
+        return 0.0, theta0, True
 
     def field(sigma, rate):
         def rhs(r, th):
@@ -381,22 +350,15 @@ def boundary_flow(d: DrivingTerm, theta0: float, t_end: float,
         def cap(r, th):
             u = th - (sigma + rate * r)
             delta = min(u, TWO_PI - u)
-            return max(c_step * delta * delta, 1e-16)
+            return max(_C_STEP * delta * delta, 1e-16)
 
         def stop(r, th):
             u = th - (sigma + rate * r)
-            return min(u, TWO_PI - u) <= eps_hit
+            return min(u, TWO_PI - u) <= _EPS_HIT
 
         return cap, stop
 
-    ts, ths = [0.0], [theta0]
-
-    def rec(s, th):   # every accepted step, the one that hits included
-        ts.append(s)
-        ths.append(th)
-
-    hit = _walk(d, 0.0, t_end, sigma0 + u0, field, params, guard, rec)[2]
-    return np.array(ts), np.array(ths), hit
+    return _walk(d, 0.0, t_end, sigma0 + u0, field, guard, params)
 
 
 _NEWTON_MAX = 60        # Newton iterations a cell map may take

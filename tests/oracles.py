@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from slitweld.errors import DiagnosticsError, IntegrationError, ValidationError
+from slitweld.errors import ValidationError
 from slitweld.loewner import boundary_flow
 
 TWO_PI = 2.0 * math.pi
@@ -315,23 +315,22 @@ def scipy_trace_tip(d, t: float, rtol=1e-13, atol=1e-15) -> complex:
 def hitting_time(d, theta0: float):
     """(tau, side) for a boundary start angle, or None if it survives to T.
 
-    Runs the library's forward boundary_flow from theta0, which extraction
-    never uses, so it checks the absorbed angles that extraction finds by
-    flowing backward from the singularity.  side is "plus" when the
-    trajectory reaches the singularity from the counterclockwise side
-    (preimage of the slit's plus side), else "minus".
+    Reads the end state of the library's forward boundary_flow from theta0,
+    which extraction never uses, so it checks the absorbed angles that
+    extraction finds by sweeping backward from the singularity.  side is
+    "plus" when the trajectory reaches the singularity from the
+    counterclockwise side (preimage of the slit's plus side), else "minus".
     """
-    times, angles, hit = boundary_flow(d, theta0, d.T)
+    t, theta, hit = boundary_flow(d, theta0, d.T)
     if not hit:
         return None
-    t = float(times[-1])
-    u = math.fmod(float(angles[-1]) - d.sigma_at(t), TWO_PI)
+    u = math.fmod(theta - d.sigma_at(t), TWO_PI)
     if u < 0.0:
         u += TWO_PI
     return t, "plus" if u <= math.pi else "minus"
 
 
-# ------------------------------------------------- generic DP5(4) reference
+# ------------------------------------------------------- DP5(4) tableau
 
 # Dormand-Prince 5(4) tableau, copied from the library as a frozen reference
 DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -355,73 +354,6 @@ DP_E = (  # b5 - b4, for the embedded error estimate
     11 / 84 - 187 / 2100,
     -1 / 40,
 )
-
-
-def reference_dp54(f, t0, t1, y0, params, cap=None, stop=None, record=None, h=None,
-                   steps=0, clock=None):
-    """The library's adaptive DP5(4) stepper as a generic tableau loop.
-
-    Same arguments and (t, y, stopped, h, steps) result as
-    loewner._dp54; kept as the loop it was written as, so a rewritten stepper
-    can be checked against it for bit-identical output.
-    """
-    span = t1 - t0
-    if span <= 0.0:
-        return t0, y0, False, h, steps
-    t, y = t0, y0
-    h_min = 1e-15 * max(1.0, abs(span))
-    k1 = f(t, y)
-    if h is None:
-        h = min(span / 16.0, 0.1)
-    at = (lambda s: s) if clock is None else clock
-    while t < t1 - 1e-14 * max(1.0, t1):
-        if steps >= params.max_steps:
-            raise IntegrationError(f"step budget {params.max_steps} exhausted at t={at(t):.6g}")
-        limit = t1 - t
-        h_max = limit
-        if cap is not None:
-            h_max = min(h_max, cap(t, y))
-        if h_max < h_min:
-            raise DiagnosticsError(
-                f"step collapsed below {h_min:.3g} at t={at(t):.6g}; driver too rough")
-        h = min(h, h_max)
-        snap = h >= limit - 1e-14 * max(1.0, limit)
-        if snap:
-            h = limit
-
-        k = [k1, None, None, None, None, None, None]
-        for i in range(1, 7):
-            yi = y
-            a = DP_A[i]
-            for j in range(i):
-                if a[j] != 0.0:
-                    yi = yi + (h * a[j]) * k[j]
-            k[i] = f(t + DP_C[i] * h, yi)
-        y5 = y
-        for j in range(7):
-            if DP_B5[j] != 0.0:
-                y5 = y5 + (h * DP_B5[j]) * k[j]
-        err = 0.0
-        for j in range(7):
-            if DP_E[j] != 0.0:
-                err += DP_E[j] * k[j]
-        err = abs(h * err)
-        tol = params.atol + params.rtol * max(abs(y), abs(y5))
-        steps += 1
-        if err <= tol:
-            t = t1 if snap else t + h
-            y = y5
-            k1 = k[6]  # FSAL
-            if record is not None:
-                record(t, y)
-            if stop is not None and stop(t, y):
-                return t, y, True, h, steps
-            factor = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
-            h = h * factor
-        else:
-            h = h * max(0.2, 0.9 * (tol / err) ** 0.2)
-            k1 = k[0]
-    return t, y, False, h, steps
 
 
 # ------------------------------------------------------- graded driver angles

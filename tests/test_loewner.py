@@ -130,12 +130,22 @@ def test_downward_flow_hits_slit_points(d_const):
 
 
 def test_boundary_flow_matches_reference_integrator(d_sqrt):
-    ts, ths, hit = boundary_flow(d_sqrt, 3.0, d_sqrt.T, PRECISE_FLOW_PARAMS)
+    t, theta, hit = boundary_flow(d_sqrt, 3.0, d_sqrt.T, PRECISE_FLOW_PARAMS)
     assert not hit
-    assert ts[0] == 0.0 and ts[-1] == pytest.approx(d_sqrt.T, abs=1e-12)
-    assert np.all(np.diff(ts) > 0.0)        # the flow's own times, across cells
+    assert t == pytest.approx(d_sqrt.T, abs=1e-12)
     ref = oracles.scipy_boundary_angle(d_sqrt.sigma_at, 3.0, d_sqrt.T)
-    assert abs(ths[-1] - ref) < 1e-6
+    assert abs(theta - ref) < 1e-6
+
+
+@pytest.mark.parametrize("flow", [upward_flow, downward_flow, boundary_flow])
+@pytest.mark.parametrize("start", [math.nan, math.inf])
+def test_flows_reject_non_finite_start_before_any_step(d_sqrt, monkeypatch, flow, start):
+    def walk(*args):
+        raise AssertionError("the flow took a step")
+
+    monkeypatch.setattr(loewner, "_walk", walk)
+    with pytest.raises(ValidationError):
+        flow(d_sqrt, start, d_sqrt.T)
 
 
 def test_hitting_time_radial_closed_form(d_const):
@@ -341,83 +351,6 @@ def test_dp54_tableau_row_sums():
     assert sum(oracles.DP_B4) == pytest.approx(1.0, abs=1e-15)
     # the seventh stage is taken at the fifth-order solution (FSAL)
     assert loewner._A[6] == loewner._B[:6] and loewner._B[6] == 0.0
-
-
-def test_dp54_bit_identical_to_generic_loop(d_sqrt):
-    params = DEFAULT_FLOW_PARAMS
-    slope = d_sqrt._slope[3]
-
-    def both(f, t0, t1, y0, **kw):
-        got, want = loewner._dp54(f, t0, t1, y0, params, **kw), oracles.reference_dp54(
-            f, t0, t1, y0, params, **kw)
-        assert got == want
-        return got
-
-    # a real field in the rho chart of a birth cell: the angle flow in the
-    # chart v = w^2, dv/dr = 2 w (cot(w/2) + slope), which is 4 at v = 0
-    def angle(r, v):
-        w = math.sqrt(v)
-        return 4.0 if w == 0.0 else 2.0 * w * (1.0 / math.tan(0.5 * w) + slope)
-
-    rho = math.sqrt(0.01)
-    both(lambda x, z: 2.0 * x * angle(x * x, z), 0.0, rho, 0.0)
-
-    # a complex field, on a second cell from the carried step size: the
-    # upward flow from the singularity in the chart q = (1 - g/xi)^2
-    def tip(c):
-        def rhs(r, q):
-            p = cmath.sqrt(q)
-            return 2.0 * (1.0 - p) * (2.0 - p + 1j * c * p)
-
-        return rhs
-
-    first = tip(slope)
-    _, q, _, h, steps = both(lambda x, z: 2.0 * x * first(x * x, z), 0.0, rho, 0.0)
-    both(tip(d_sqrt._slope[4]), 0.0, 0.02, q, h=h * 2.0 * rho, steps=steps)
-
-    # an upward flow on one driver cell, with its step cap and a carried step
-    i = 100
-    sigma, rate = d_sqrt._s[i], d_sqrt._slope[i]
-    span = d_sqrt._g[i + 1] - d_sqrt._g[i]
-
-    def rhs(r, y):
-        xi = cmath.exp(1j * (sigma + rate * r))
-        return -y * (xi + y) / (xi - y)
-
-    def cap(r, y):
-        delta = abs(cmath.exp(1j * (sigma + rate * r)) - y)
-        return max(loewner._C_STEP * delta * delta, 1e-14)
-
-    both(rhs, 0.0, span, 0.6 + 0.3j, cap=cap, h=span / 3.0)
-
-    # a boundary run on one cell that rejects steps, records every accepted
-    # one and stops at the singularity
-    i = 200
-    sigma, rate = d_sqrt._s[i], d_sqrt._slope[i]
-    span = d_sqrt._g[i + 1] - d_sqrt._g[i]
-    calls = [0]
-
-    def boundary(r, th):
-        calls[0] += 1
-        return 1.0 / math.tan(0.5 * (sigma + rate * r - th))
-
-    def gap(r, th):
-        u = th - (sigma + rate * r)
-        return min(u, 2.0 * math.pi - u)
-
-    runs = []
-    for run in (loewner._dp54, oracles.reference_dp54):
-        calls[0] = 0
-        rec = []
-        out = run(boundary, 0.0, span, sigma + 0.1, params,
-                  cap=lambda r, th: max(loewner._C_STEP * gap(r, th) ** 2, 1e-16),
-                  stop=lambda r, th: gap(r, th) <= loewner._EPS_HIT,
-                  record=lambda r, th: rec.append((r, th)), h=1e-3)
-        runs.append((out, rec, calls[0]))
-    assert runs[0] == runs[1]
-    (t, _, stopped, _, _), rec, n_evals = runs[0]
-    assert stopped and t < span
-    assert n_evals > 1 + 6 * len(rec)      # at least one step was rejected
 
 
 def test_interior_flows_make_no_driver_lookup(d_sqrt, monkeypatch):
