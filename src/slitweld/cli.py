@@ -49,7 +49,7 @@ _COUNT_MINIMUMS = {
 _COUNT_MAXIMUMS = {
     "welding_samples": 32768,     # one angle sweep, 0.1-0.25 us per sample and cell; _SWEEP_WORK
     "trace_count": 4096,          # one tip sweep; _SWEEP_WORK
-    "quad_level": 65536,          # FFT chordal sums: construct 2.8 s and 109 MiB at the cap
+    "quad_level": 65536,          # FFT chordal sums: construct 1.3 s and 105 MiB at the cap
     "boundary_samples": 65536,    # 360 bytes of JSON and 0.03 ms per sample
     "profile_samples": 32768,     # as welding_samples
     "window_samples": 8192,       # mean oscillation in row blocks: 2 MiB, 0.2 s at the cap

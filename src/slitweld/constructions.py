@@ -20,7 +20,7 @@ import numpy as np
 from .arcfun import ArcHomeomorphism
 from .circle import TWO_PI, OrientedArc, arc, canonical_angle
 from .errors import AccuracyError, IntegrationError, ValidationError
-from .regularity import h_half_seminorm_detail
+from .regularity import _level, _midpoints, _richardson
 from .welding import Welding, _conjugated_welding, build_tau
 
 __all__ = [
@@ -176,23 +176,18 @@ def psi_j_decomposition(psi: PiecewiseCircleMap, m: int = 256,
     Weighted as J1 + J2 + J3 + 2 (J4 + J5 + J6), the terms tile the full
     circle-squared energy.
     """
-    A = arc(0.0, math.pi)
-    B = arc(-_HALF_PI, 0.0)
-    C = arc(math.pi, -_HALF_PI)
-    u = psi.log_deriv_angle
-
-    def energy(I, J):
-        return h_half_seminorm_detail(u, I, J, normalization="raw", m=m,
-                                      agree_tol=agree_tol, strict=True)["value"]
-
-    out = {
-        "J1": energy(A, A),
-        "J2": energy(B, B),
-        "J3": energy(C, C),
-        "J4": energy(C, B),
-        "J5": energy(B, A),
-        "J6": energy(C, A),
-    }
+    if m < 8:
+        raise ValidationError("base quadrature level must be at least 8")
+    arcs = {"A": arc(0.0, math.pi), "B": arc(-_HALF_PI, 0.0), "C": arc(math.pi, -_HALF_PI)}
+    pairs = {"J1": "AA", "J2": "BB", "J3": "CC", "J4": "CB", "J5": "BA", "J6": "CA"}
+    levels = {name: [] for name in pairs}
+    for mm in (m, 2 * m, 4 * m):
+        # one sampling per arc and level, shared by every pair that uses the arc
+        u = {k: psi.log_deriv_angle(_midpoints(a, mm)[0]) for k, a in arcs.items()}
+        for name, (i, j) in pairs.items():
+            levels[name].append(_level(arcs[i], u[i], arcs[j], u[j], i == j))
+    # checked in the order J1 .. J6: the first pair whose levels disagree raises
+    out = {name: _richardson(tuple(lv), agree_tol, True)[0] for name, lv in levels.items()}
     out["weighted_sum"] = (out["J1"] + out["J2"] + out["J3"]
                            + 2.0 * (out["J4"] + out["J5"] + out["J6"]))
     return out
@@ -366,6 +361,13 @@ def poincare_l2_integral(mu: BeltramiField, conf: DiskMapEvaluator | None = None
     return value
 
 
+def _powers(z: complex, n: int):
+    """1, z, ..., z^(n - 1) as running products."""
+    p = np.full(n, z, dtype=complex)
+    p[0] = 1.0
+    return np.cumprod(p, out=p)
+
+
 class _HarmonicExtension:
     """Interior extension of a circle homeomorphism by its Poisson integral."""
 
@@ -375,31 +377,20 @@ class _HarmonicExtension:
         vals = np.exp(1j * psi.apply_angle(th))
         coef = np.fft.fft(vals) / samples
         half = samples // 2
-        self._pos = coef[: half + 1]     # z^k terms, k ascending 0 .. half
-        self._neg = coef[half + 1:]      # conj(z)^k terms, k descending half-1 .. 1
+        self._pos = coef[: half + 1]     # z^k terms, k = 0 .. half
+        self._neg = coef[:half:-1]       # conj(z)^k terms, k = 1 .. half - 1
+        # the same series differentiated: dA/dz and dB/dzbar, power k - 1 at index k - 1
+        self._dpos = np.arange(1, half + 1) * self._pos[1:]
+        self._dneg = np.arange(1, half) * self._neg
 
     def __call__(self, z: complex) -> complex:
-        a = 0j
-        for cft in self._pos[::-1]:
-            a = a * z + cft
         zb = z.conjugate()
-        b = 0j
-        for cft in self._neg:
-            b = b * zb + cft
-        return a + b * zb
+        return complex(_powers(z, self._pos.size) @ self._pos
+                       + _powers(zb, self._neg.size) @ self._neg * zb)
 
     def _derivs(self, z: complex):
-        # dA/dz and dB/dzbar by Horner on the shifted coefficient arrays
-        da = 0j
-        for k in range(len(self._pos) - 1, 0, -1):
-            da = da * z + k * self._pos[k]
-        zb = z.conjugate()
-        db = 0j
-        n_neg = len(self._neg)
-        for i, cft in enumerate(self._neg):
-            k = n_neg - i
-            db = db * zb + k * cft
-        return da, db
+        return (complex(_powers(z, self._dpos.size) @ self._dpos),
+                complex(_powers(z.conjugate(), self._dneg.size) @ self._dneg))
 
     def inverse(self, w: complex) -> complex:
         """Newton's method from w itself, kept inside the disk."""

@@ -10,14 +10,17 @@ of one step h the kernel 1 / (4 sin^2(((i - j) h + off) / 2)) depends only on
 i - j, so the sum of (u1_i - u2_j)^2 K_ij is u1^2 . K1 + 1 . K u2^2
 - 2 u1 . K u2: three Toeplitz products, taken together by one circulant
 embedding and FFT (Strang 1986; Chan and Ng 1996) in O(m log m) time and O(m)
-memory.  When one arc's step is r times the other's, the finer grid is split
+memory.  Against a partner u2 that is identically 0 (the wp cross integral,
+and log |psi'| on the arc where psi is the identity) the sum is u1^2 . K1, one
+product.  When one arc's step is r times the other's, the finer grid is split
 into its r interleaved phases, each a product on the coarser step, so every
-level sums exactly the midpoint cells of the dense formula.  Both functions
-are first centered on one shared constant: the differences u1_i - u2_j do not
-change, and the squared terms no longer dwarf the cross term they cancel
-against.  What cancellation is left is rounding error that grows about as m
-times the machine epsilon: against a direct sum of the same cells, about
-1e-12 relative at 4096 points per arc and 4e-12 at 32768.
+level sums exactly the midpoint cells of the dense formula.  With a nonzero
+partner, both functions are first centered on one shared constant: the
+differences u1_i - u2_j do not change, and the squared terms no longer dwarf
+the cross term they cancel against.  What cancellation is left is rounding
+error that grows about as m times the machine epsilon: against a direct sum
+of the same cells, about 1e-12 relative at 4096 points per arc and 4e-12 at
+32768.
 """
 
 from __future__ import annotations
@@ -86,36 +89,67 @@ def _midpoints(a: OrientedArc | None, m: int):
     return start + (np.arange(m) + 0.5) * h, h
 
 
-def _chordal_sum(a1: float, u1, a2: float, u2, h: float, same: bool) -> float:
-    """Sum of (u1_i - u2_j)^2 / |e^{i t1_i} - e^{i t2_j}|^2 over all cells.
+def _kernel(a1: float, M: int, a2: float, N: int, h: float, same: bool):
+    """1 / |e^{i t1_i} - e^{i t2_j}|^2 at the lags i - j = -(N - 1) .. M - 1.
 
-    The grids are t1_i = a1 + i h and t2_j = a2 + j h.  With same, they are
-    one grid and the diagonal cells, the only colliding midpoints, are dropped.
+    The grids are t1_i = a1 + i h and t2_j = a2 + j h; lag 0 sits at index
+    N - 1.  With same, they are one grid and the lag-0 entry, the colliding
+    midpoints, is 0.
     """
-    from numpy.fft import irfft, rfft   # not imported with numpy; costs about 1.7 ms
-
-    M, N = u1.size, u2.size
-    shift = 0.5 * (u1.mean() + u2.mean())
-    u1 = u1 - shift
-    u2 = u2 - shift
-    # the kernel at the lags -(N - 1) .. M - 1; lag 0 sits at index N - 1
     half_chord = np.sin(0.5 * (np.arange(1 - N, M) * h + (a1 - a2)))
     if same:
         half_chord[N - 1] = 1.0
     kernel = 0.25 / (half_chord * half_chord)
     if same:
         kernel[N - 1] = 0.0   # u1 - u2 is 0 there, so the cell drops out
+    return kernel
+
+
+def _toeplitz_rows(kernel, rows, M: int, N: int):
+    """Each row of length N times the kernel's M x N Toeplitz matrix, by FFT."""
+    from numpy.fft import irfft, rfft   # not imported with numpy; costs about 1.7 ms
+
     size = 1 << (M + N - 2).bit_length()   # a power of two >= M + N - 1
+    return irfft(rfft(rows, size) * rfft(kernel, size), size)[..., N - 1:N - 1 + M]
+
+
+def _chordal_sum(a1: float, u1, a2: float, u2, h: float, same: bool) -> float:
+    """Sum of (u1_i - u2_j)^2 / |e^{i t1_i} - e^{i t2_j}|^2 over all cells.
+
+    The grids are t1_i = a1 + i h and t2_j = a2 + j h.  With same, they are
+    one grid and the diagonal cells, the only colliding midpoints, are dropped.
+    """
+    M, N = u1.size, u2.size
+    if not u2.any():
+        return 0.0 if same else _zero_partner_sum(a1, u1, a2, N, h)
+    shift = 0.5 * (u1.mean() + u2.mean())
+    u1 = u1 - shift
+    u2 = u2 - shift
     rows = np.stack((np.ones(N), u2 * u2, u2))
-    k1, ku2sq, ku2 = irfft(rfft(rows, size) * rfft(kernel, size), size)[:, N - 1:N - 1 + M]
+    k1, ku2sq, ku2 = _toeplitz_rows(_kernel(a1, M, a2, N, h, same), rows, M, N)
     return float(np.dot(u1 * u1, k1) + ku2sq.sum() - 2.0 * np.dot(u1, ku2))
 
 
-def _level(f, I, J, m, same) -> float:
+def _zero_partner_sum(a1: float, u1, a2: float, N: int, h: float) -> float:
+    """_chordal_sum of u1 against u2 = 0 on N points of a distinct grid.
+
+    The sum is u1^2 . K 1: one Toeplitz product, and with no cross term to
+    cancel against, no centering shift.
+    """
+    M = u1.size
+    k1 = _toeplitz_rows(_kernel(a1, M, a2, N, h, False), np.ones(N), M, N)
+    return float(np.dot(u1 * u1, k1))
+
+
+def _level(I, u1, J, u2, same) -> float:
+    """One midpoint level of the raw chordal energy of the samples u1 on I, u2 on J.
+
+    The samples are taken at the m midpoints of each arc (_midpoints), m equal
+    on both; with same, u2 is u1.
+    """
+    m = u1.size
     th1, h1 = _midpoints(I, m)
     th2, h2 = _midpoints(J, m)
-    u1 = f(th1)
-    u2 = u1 if same else f(th2)
     if h1 > h2:   # the sum is symmetric in the two grids: make grid 1 the finer
         th1, u1, h1, th2, u2, h2 = th2, u2, h2, th1, u1, h1
     # h2 is r h1 (_check_commensurate): grid 1 is summed as its r interleaved
@@ -133,8 +167,8 @@ def _check_commensurate(I: OrientedArc | None, J: OrientedArc | None):
         raise ValidationError("the two arcs' lengths must be integer multiples of each other")
 
 
-def _richardson(q, m: int, agree_tol: float, strict: bool):
-    levels = (q(m), q(2 * m), q(4 * m))
+def _richardson(levels, agree_tol: float, strict: bool):
+    """Extrapolated value, levels, extrapolants and agreement of three dyadic levels."""
     r12 = 2.0 * levels[1] - levels[0]
     r23 = 2.0 * levels[2] - levels[1]
     agreement = abs(r23 - r12) / max(abs(r23), _AGREE_FLOOR)
@@ -162,8 +196,13 @@ def h_half_seminorm_detail(u, I: OrientedArc | None = None, J: OrientedArc | Non
     J = I if J is None else J
     _check_commensurate(I, J)
     same = _same_arc(I, J)
-    value, levels, extrap, agreement = _richardson(
-        lambda mm: _level(f, I, J, mm, same), m, agree_tol, strict)
+
+    def q(mm):
+        u1 = f(_midpoints(I, mm)[0])
+        return _level(I, u1, J, u1 if same else f(_midpoints(J, mm)[0]), same)
+
+    value, levels, extrap, agreement = _richardson((q(m), q(2 * m), q(4 * m)),
+                                                   agree_tol, strict)
     scale = 1.0 / (TWO_PI * TWO_PI) if normalization == "two_pi" else 1.0
     return {
         "value": value * scale,
@@ -210,15 +249,15 @@ def wp_cross_condition(w: Welding, m: int = 256, include_alpha_cells: bool = Fal
         th1, h = _midpoints(A1, mm)
         th2, _ = _midpoints(A2, mm)
         u = log_chi_deriv(th1)
-        zero = np.zeros(mm)
         k = mm // m   # cells per alpha cell: the last k of th1 and the first k of th2
-        total = _chordal_sum(th1[0], u, th2[0], zero, h, False) * h * h
-        alpha_mass = (_chordal_sum(th1[-k], u[-k:], th2[0], zero, h, False)
-                      + _chordal_sum(th1[0], u[:-k], th2[0], zero[:k], h, False)) * h * h
+        total = _zero_partner_sum(th1[0], u, th2[0], mm, h) * h * h
+        alpha_mass = (_zero_partner_sum(th1[-k], u[-k:], th2[0], mm, h)
+                      + _zero_partner_sum(th1[0], u[:-k], th2[0], k, h)) * h * h
         alpha_masses.append(alpha_mass)
         return total if include_alpha_cells else total - alpha_mass
 
-    value, levels, extrap, agreement = _richardson(q, m, agree_tol, strict)
+    value, levels, extrap, agreement = _richardson((q(m), q(2 * m), q(4 * m)),
+                                                   agree_tol, strict)
     return {
         "value": value,
         "levels": levels,
@@ -240,11 +279,14 @@ def _mean_oscillation(vals, scale: float, h: float, periodic: bool) -> float:
     windows = sliding_window_view(vals, wlen)
     means = windows.mean(axis=1)
     # the deviations from the window means are taken in row blocks of about
-    # _BLOCK_CELLS samples, so memory is O(samples) at any window length
+    # _BLOCK_CELLS samples, all in one buffer, so memory is O(samples) at any
+    # window length and no block allocates (or page-faults in) its own array
     osc = np.empty_like(means)
     rows = max(1, _BLOCK_CELLS // wlen)
+    buf = np.empty((min(rows, means.size), wlen))
     for lo in range(0, means.size, rows):
-        dev = windows[lo:lo + rows] - means[lo:lo + rows, None]
+        dev = buf[:min(rows, means.size - lo)]
+        np.subtract(windows[lo:lo + rows], means[lo:lo + rows, None], out=dev)
         osc[lo:lo + rows] = np.abs(dev, out=dev).mean(axis=1)
     return float(osc.max())
 

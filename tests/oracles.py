@@ -202,6 +202,33 @@ def dense_wp_level(log_chi_deriv, m_base: int, mm: int):
     return float(np.sum(cells)), float(alpha)
 
 
+# ------------------------------------------------- harmonic extension, Horner
+
+def horner_extension(ext, z: complex):
+    """(value, dA/dz, dB/dzbar) of a constructions._HarmonicExtension at z.
+
+    The value is A(z) + B(conj z) with A(z) = sum of _pos[k] z^k and
+    B(zb) = sum of _neg[k - 1] zb^k, k >= 1; each series and its derivative
+    is taken by Horner's rule, one coefficient at a time: the scalar loops
+    that the extension's power sums replaced, kept as their reference.
+    """
+    pos, neg = ext._pos, ext._neg
+    zb = z.conjugate()
+    a = 0j
+    for cft in pos[::-1]:
+        a = a * z + cft
+    b = 0j
+    for cft in neg[::-1]:
+        b = b * zb + cft
+    da = 0j
+    for k in range(len(pos) - 1, 0, -1):
+        da = da * z + k * pos[k]
+    db = 0j
+    for k in range(len(neg), 0, -1):
+        db = db * zb + k * neg[k - 1]
+    return a + b * zb, da, db
+
+
 # ---------------------------------------------------------- Wirtinger by FD
 
 def fd_wirtinger(f, z: complex, h: float = 1e-6):

@@ -110,6 +110,16 @@ def test_psi_j_decomposition_tiles_full_energy():
     assert abs(parts["weighted_sum"] - full) < 0.02 * full
 
 
+def test_psi_j_decomposition_samples_each_arc_once_per_level():
+    psi = _smooth_circle_map()
+    calls = []
+    log_deriv = psi.log_deriv_angle
+    psi.log_deriv_angle = lambda th: calls.append(th.size) or log_deriv(th)
+    psi_j_decomposition(psi, m=16)
+    # arcs A, B and C at the levels 16, 32 and 64
+    assert sorted(calls) == [16] * 3 + [32] * 3 + [64] * 3
+
+
 def test_reflect_half_extension_symmetry():
     right = arc(-0.5 * math.pi, 0.5 * math.pi)
     s = np.linspace(0.0, math.pi, 33)
@@ -212,6 +222,17 @@ def test_harmonic_extension_boundary_and_inverse():
     z = 0.3 + 0.4j
     w = ext(z)
     assert abs(ext.inverse(w) - z) < 1e-10
+
+
+def test_harmonic_extension_power_sums_match_horner(w_sqrt_256, rng):
+    ext = _HarmonicExtension(build_psi(w_sqrt_256))
+    radii = np.concatenate(([0.0, 0.5, 0.999], 0.999 * np.sqrt(rng.uniform(size=40))))
+    for z in radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size)):
+        want, want_da, want_db = oracles.horner_extension(ext, complex(z))
+        da, db = ext._derivs(complex(z))
+        assert abs(ext(complex(z)) - want) <= 1e-13 * abs(want)
+        assert abs(da - want_da) <= 1e-13 * abs(want_da)
+        assert abs(db - want_db) <= 1e-13 * abs(want_db)
 
 
 def test_welding_construction_radial_chain():

@@ -256,15 +256,22 @@ def _blocked_levels(u, I, J, m, same):
     return tuple(levels)
 
 
-@pytest.mark.parametrize("func", ["trig", "offset"])
+@pytest.mark.parametrize("func", ["trig", "offset", "zero_on_J"])
 @pytest.mark.parametrize("pair", sorted(FFT_PAIRS))
 def test_fft_kernel_matches_blocked_reference(rng, pair, func):
+    I, J = FFT_PAIRS[pair]
     if func == "trig":
         u, _ = oracles.trig_poly(rng, 4)
-    else:
+    elif func == "offset":
         def u(th):
             return 5.0 + 0.1 * np.sin(th)
-    I, J = FFT_PAIRS[pair]
+    else:
+        # exactly 0 on J, so the sums run against a zero partner (on A x A,
+        # where u is 0 on both grids, every level is 0)
+        trig, _ = oracles.trig_poly(rng, 4)
+
+        def u(th):
+            return np.where(np.mod(th - J.start.angle, 2.0 * math.pi) < J.length, 0.0, trig(th))
     got = h_half_seminorm_detail(u, I, J, normalization="raw", m=1024, strict=False)
     want = _blocked_levels(u, I, J, 1024, pair == "AxA")
     assert got["levels"] == pytest.approx(want, rel=1e-11)
