@@ -10,6 +10,7 @@ accuracy, 5 extraction failure, 6 operating-system or memory failure
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -52,7 +53,7 @@ _COUNT_MAXIMUMS = {
     "quad_level": 65536,          # FFT chordal sums: construct 1.3 s and 105 MiB at the cap
     "boundary_samples": 65536,    # 360 bytes of JSON and 0.03 ms per sample
     "profile_samples": 32768,     # as welding_samples
-    "window_samples": 8192,       # mean oscillation in row blocks: 2 MiB, 0.2 s at the cap
+    "window_samples": 8192,       # mean oscillation over monotone runs: 0.8 MiB, 0.02-0.07 s
     "qs_positions": 1 << 20,      # about 140 bytes and 2 us per position
 }
 
@@ -416,6 +417,8 @@ def _cmd_selftest(args, outputs: list) -> int:
     return 0
 
 
+# built by the first command, not at import, and kept: a parse leaves the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="slitweld",

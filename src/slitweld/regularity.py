@@ -12,7 +12,8 @@ i - j, so the sum of (u1_i - u2_j)^2 K_ij is u1^2 . K1 + 1 . K u2^2
 embedding and FFT (Strang 1986; Chan and Ng 1996) in O(m log m) time and O(m)
 memory.  Against a partner u2 that is identically 0 (the wp cross integral,
 and log |psi'| on the arc where psi is the identity) the sum is u1^2 . K1, one
-product.  When one arc's step is r times the other's, the finer grid is split
+product; the wp cross integral reads its alpha cells, a few rows and columns,
+off the kernel directly.  When one arc's step is r times the other's, the finer grid is split
 into its r interleaved phases, each a product on the coarser step, so every
 level sums exactly the midpoint cells of the dense formula.  With a nonzero
 partner, both functions are first centered on one shared constant: the
@@ -21,6 +22,17 @@ the cross term they cancel against.  What cancellation is left is rounding
 error that grows about as m times the machine epsilon: against a direct sum
 of the same cells, about 1e-12 relative at 4096 points per arc and 4e-12 at
 32768.
+
+vmo_curve's mean oscillation of a window is the mean of |u - m| over its
+samples, m their mean.  The samples are cut once into maximal monotone runs.
+On one run, the samples above m are one stretch at the run's upper end, found
+by one binary search, so a window's sum is a few prefix-sum differences per
+run it meets, and a scale costs O(window-run pairs x log n) in place of the
+dense pass's O(samples x window) cells.  The prefix sums carry their own
+rounding error beside them (Knuth's TwoSum), so the run sums stay within
+1e-13 of the dense pass even at 8192 samples.  A scale takes the runs
+only when its pairs cost less than its cells; short windows and samples of
+many short runs (white noise) keep the dense pass.
 """
 
 from __future__ import annotations
@@ -55,11 +67,18 @@ _AGREE_FLOOR = 1e-8
 
 # samples per row block of the window deviations in _mean_oscillation: the
 # float64 block takes 0.5 MiB, which stays in a core's L2 cache
+# (lip_half_norm's blocks of node pairs take a quarter of it)
 _BLOCK_CELLS = 1 << 16
 
 _STEP_RATIO_TOL = 1e-9   # how far two arcs' step ratio may sit from an integer
 
 _MIN_WINDOW = 8      # vmo_curve's smallest window, in samples
+# a window-run pair of vmo_curve's run sums costs about as much as this many
+# cells of the dense pass (measured over 1024 to 8192 samples of one to 100
+# runs on a 2-core x86-64 machine); a scale takes the run sums only when its
+# pairs cost less
+_PAIR_COST = 56
+_PAIR_BLOCK = 2048   # window-run pairs per block of the run sums
 _QS_DEPTH = 9        # qs_constant's separations L / 2^j run over j = 1 .. _QS_DEPTH
 _DENSE_GAPS = 4096   # lip_half_norm scans every node gap up to this many nodes
 
@@ -249,10 +268,17 @@ def wp_cross_condition(w: Welding, m: int = 256, include_alpha_cells: bool = Fal
         th1, h = _midpoints(A1, mm)
         th2, _ = _midpoints(A2, mm)
         u = log_chi_deriv(th1)
+        usq = u * u
         k = mm // m   # cells per alpha cell: the last k of th1 and the first k of th2
-        total = _zero_partner_sum(th1[0], u, th2[0], mm, h) * h * h
-        alpha_mass = (_zero_partner_sum(th1[-k], u[-k:], th2[0], mm, h)
-                      + _zero_partner_sum(th1[0], u[:-k], th2[0], k, h)) * h * h
+        kernel = _kernel(th1[0], mm, th2[0], mm, h, False)   # lag i - j at mm - 1 + i - j
+        total = float(np.dot(usq, _toeplitz_rows(kernel, np.ones(mm), mm, mm))) * h * h
+        # the alpha cells: the last k rows against every column, and the other
+        # rows against the first k columns.  Each is a slice of the kernel,
+        # summed directly: the product's rounding scales with the kernel's
+        # largest entries, by the shared endpoint 1, not with these
+        last_rows = [kernel[i:i + mm].sum() for i in range(mm - k, mm)]
+        first_cols = sum(kernel[mm - 1 - j:2 * mm - 1 - k - j] for j in range(k))
+        alpha_mass = float(np.dot(usq[-k:], last_rows) + np.dot(usq[:-k], first_cols)) * h * h
         alpha_masses.append(alpha_mass)
         return total if include_alpha_cells else total - alpha_mass
 
@@ -270,25 +296,163 @@ def wp_cross_condition(w: Welding, m: int = 256, include_alpha_cells: bool = Fal
     }
 
 
+def _window_length(scale: float, h: float, samples: int) -> int:
+    """Samples per window of length scale on a grid of step h."""
+    return int(np.clip(round(scale / h), 2, samples))
+
+
+def _prefix_sums(vals):
+    """Prefix sums of vals from 0, and beside them the running sum of each
+    addition's rounding error (Knuth's TwoSum).
+
+    With both, a segment sum (_segment_sums) is exact to its own rounding,
+    however large the prefix sums around it have grown.
+    """
+    prefix = np.zeros(vals.size + 1)
+    np.cumsum(vals, out=prefix[1:])
+    added = prefix[1:] - prefix[:-1]
+    error = prefix[1:] - added
+    np.subtract(prefix[:-1], error, out=error)
+    error += np.subtract(vals, added, out=added)
+    carry = np.zeros_like(prefix)
+    np.cumsum(error, out=carry[1:])
+    return prefix, carry
+
+
+def _segment_sums(prefix, carry, lo, hi):
+    """Sums of the samples lo .. hi - 1 from their _prefix_sums (indices or slices)."""
+    return (prefix[hi] - prefix[lo]) + (carry[hi] - carry[lo])
+
+
 def _mean_oscillation(vals, scale: float, h: float, periodic: bool) -> float:
-    """Largest mean oscillation of the samples vals over windows of length scale."""
-    samples = vals.size
-    wlen = int(np.clip(round(scale / h), 2, samples))
+    """Largest mean oscillation of the samples vals over windows of length scale.
+
+    The dense pass: each window's deviations from its mean, one cell each.
+    """
+    wlen = _window_length(scale, h, vals.size)
     if periodic:
         vals = np.concatenate((vals, vals[: wlen - 1]))
     windows = sliding_window_view(vals, wlen)
-    means = windows.mean(axis=1)
+    means = _segment_sums(*_prefix_sums(vals), slice(None, -wlen), slice(wlen, None)) / wlen
     # the deviations from the window means are taken in row blocks of about
     # _BLOCK_CELLS samples, all in one buffer, so memory is O(samples) at any
     # window length and no block allocates (or page-faults in) its own array
-    osc = np.empty_like(means)
+    largest = []
     rows = max(1, _BLOCK_CELLS // wlen)
     buf = np.empty((min(rows, means.size), wlen))
     for lo in range(0, means.size, rows):
         dev = buf[:min(rows, means.size - lo)]
         np.subtract(windows[lo:lo + rows], means[lo:lo + rows, None], out=dev)
-        osc[lo:lo + rows] = np.abs(dev, out=dev).mean(axis=1)
-    return float(osc.max())
+        largest.append(np.abs(dev, out=dev).mean(axis=1).max())
+    return float(np.max(largest))   # a nan sample stays nan
+
+
+def _monotone_runs(vals):
+    """Starts and directions (True: rising) of the maximal monotone runs of vals.
+
+    Runs are cut greedily from the left.  A run's first step that moves sets
+    its direction; the run then takes every flat step and every step that
+    moves the same way.  The first step against it is its cut: the next run
+    starts at the sample after that step.
+    """
+    step = np.diff(vals)
+    moves = np.flatnonzero(step)
+    if moves.size == 0:
+        return np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool)
+    up = step[moves] > 0
+    first = np.flatnonzero(np.concatenate(([True], up[1:] != up[:-1])))   # blocks of like moves
+    # A cut is the first move of a block.  The run after it goes on with the
+    # block's other moves, and the next block is cut.  After a block of one
+    # move, it goes on with the whole next block instead, and the cut is two
+    # blocks on.  So in a stretch of one-move blocks the cuts fall on the
+    # first block and every other one after it, and any other block is cut
+    # unless the block before it is a cut one-move block.
+    lone = np.diff(np.append(first, moves.size)) == 1
+    lone[0] = False   # the first block opens the first run
+    block = np.arange(first.size)
+    into_stretch = block - np.maximum.accumulate(np.where(lone, 0, block))
+    cut_lone = lone & (into_stretch % 2 == 1)
+    cut = np.where(lone, cut_lone, ~np.concatenate(([False], cut_lone[:-1])))
+    cut[0] = False
+    cuts = np.flatnonzero(cut)
+    starts = np.concatenate(([0], moves[first[cuts]] + 1))
+    rising = np.concatenate((up[:1], up[first[cuts]] != lone[cuts]))
+    return starts, rising
+
+
+def _pair_count(starts, wlen: int, count: int) -> int:
+    """Window-run pairs of the count windows of wlen samples that start at 0, 1, ..."""
+    inner = starts[1:]   # a later run start lies in the windows at inner - wlen + 1 .. inner - 1
+    met = np.minimum(inner - 1, count - 1) - np.maximum(inner - wlen + 1, 0) + 1
+    return count + int(np.maximum(met, 0).sum())
+
+
+class _RunSums:
+    """Centred samples cut into monotone runs, with what a window's run sums need.
+
+    On one run, the samples of a window that lie above the window's mean form
+    one stretch at the run's upper end, so the window's sum of |u - mean| is
+    a few segment sums per run it meets.  Where that stretch begins is one
+    search of keys, which ascend over all n samples: run (n + 1) + rank on a
+    rising run and run (n + 1) + n - rank on a falling one, rank being the
+    number of samples below.
+    """
+
+    def __init__(self, vals, periodic: bool, starts, rising):
+        # centred, the prefix sums stay near the samples' spread; periodic
+        # samples are read twice over, as a window may wrap past the last
+        centred = vals - vals.mean()
+        if periodic:
+            centred = np.concatenate((centred, centred[:-1]))
+        n = centred.size
+        self.prefix, self.carry = _prefix_sums(centred)
+        lengths = np.diff(np.append(starts, n))
+        self.n, self.starts, self.ends = n, starts, np.append(starts[1:], n)
+        self.rising, self.sign = rising, np.where(rising, 1.0, -1.0)
+        self.sorted = np.sort(centred)
+        keys = np.searchsorted(self.sorted, centred)   # the rank
+        np.subtract(n, keys, out=keys, where=np.repeat(~rising, lengths))
+        keys += np.repeat(np.arange(starts.size) * (n + 1), lengths)
+        self.keys = keys
+
+    def mean_oscillation(self, wlen: int, count: int) -> float:
+        """Largest mean oscillation of the count windows of wlen samples at 0, 1, ..."""
+        # windows in blocks of at most about _PAIR_BLOCK window-run pairs, so
+        # memory stays O(samples): a window meets one run, and one more for
+        # each run start among its other samples
+        inner = self.starts[1:]
+        most = 1 + int(np.max(np.searchsorted(inner, inner + wlen - 1) - np.arange(inner.size),
+                              initial=0))
+        step = max(1, _PAIR_BLOCK // most)
+        best = max(self._largest_sum(wlen, np.arange(a, min(a + step, count)))
+                   for a in range(0, count, step))
+        return max(best, 0.0) / wlen   # rounding may leave a flat window's sum below 0
+
+    def _largest_sum(self, wlen: int, win) -> float:
+        """Largest sum of |u - mean| over the windows of wlen samples at win."""
+        n, prefix, carry = self.n, self.prefix, self.carry
+        mean = _segment_sums(prefix, carry, win, win + wlen) / wlen
+        below = np.searchsorted(self.sorted, mean, "right")   # samples at or below the mean
+        first_run = np.searchsorted(self.starts, win, "right") - 1
+        runs_met = np.searchsorted(self.starts, win + wlen - 1, "right") - first_run
+        pair_win = np.repeat(np.arange(win.size), runs_met)
+        opens = np.cumsum(runs_met) - runs_met   # each window's first pair
+        run = first_run[pair_win] + (np.arange(pair_win.size) - opens[pair_win])
+        lo = np.maximum(win[pair_win], self.starts[run])
+        hi = np.minimum(win[pair_win] + wlen, self.ends[run])
+        below = below[pair_win]
+        # the first sample above the mean on a rising run, at or below it on a falling one
+        split = np.searchsorted(self.keys, run * (n + 1)
+                                + np.where(self.rising[run], below, n + 1 - below))
+        np.clip(split, lo, hi, out=split)
+        # on a rising run the samples above the mean less those below, less
+        # the mean as often; a falling run has them the other way round
+        at = prefix[split]
+        dev = (((prefix[hi] - at) - (at - prefix[lo]))
+               + (carry[hi] - 2.0 * carry[split] + carry[lo])
+               - mean[pair_win] * ((hi - split) - (split - lo)))
+        dev *= self.sign[run]
+        return float(np.add.reduceat(dev, opens).max())
 
 
 def vmo_curve(u, samples: int = 2048) -> list:
@@ -296,18 +460,41 @@ def vmo_curve(u, samples: int = 2048) -> list:
 
     The windows are arcs of length scale; u is sampled once, at the midpoints
     of samples equal cells, for all scales.  Scales stop before a window would
-    hold fewer than _MIN_WINDOW samples.
+    hold fewer than _MIN_WINDOW samples.  A scale sums over monotone runs
+    (_RunSums) when its window-run pairs cost less than the cells of the
+    dense pass (_mean_oscillation), which takes every other scale.
     """
     f, dom = _resolve(u)
-    span, start = (TWO_PI, 0.0) if dom is None else (dom.length, dom.start.angle)
+    periodic = dom is None
+    span, start = (TWO_PI, 0.0) if periodic else (dom.length, dom.start.angle)
     h = span / samples
     vals = f(start + (np.arange(samples) + 0.5) * h)
-    curve = []
+    scales = []
     scale = span
     while scale / h >= _MIN_WINDOW:
-        curve.append([scale, _mean_oscillation(vals, scale, h, dom is None)])
+        scales.append(scale)
         scale *= 0.5
-    return curve
+    # the longest scales whose window-run pairs cost less than their dense
+    # cells: a window meets at least one run, so windows shorter than
+    # _PAIR_COST never qualify, nor, once one scale has not, do shorter ones,
+    # whose windows meet more runs per sample.  Periodic windows wrap past the
+    # last sample: theirs are the runs of the samples read twice over.
+    # Non-finite samples stay dense.
+    by_runs = []
+    if np.isfinite(vals).all():
+        starts, rising = _monotone_runs(np.concatenate((vals, vals[:-1])) if periodic else vals)
+        for scale in scales:
+            wlen = _window_length(scale, h, samples)
+            count = samples if periodic else samples - wlen + 1
+            if wlen < _PAIR_COST or _PAIR_COST * _pair_count(starts, wlen, count) > wlen * count:
+                break
+            by_runs.append((wlen, count))
+    # the dense scales first: the runs then reuse the memory of their blocks
+    osc = [_mean_oscillation(vals, scale, h, periodic) for scale in scales[len(by_runs):]]
+    if by_runs:
+        runs = _RunSums(vals, periodic, starts, rising)
+        osc = [runs.mean_oscillation(wlen, count) for wlen, count in by_runs] + osc
+    return [[scale, m] for scale, m in zip(scales, osc)]
 
 
 def bmo_norm(u, samples: int = 2048) -> float:
@@ -371,11 +558,22 @@ def lip_half_norm(d: DrivingTerm) -> float:
     n = t.size
     if n < 2:
         return 0.0
-    gaps = range(1, n) if n <= _DENSE_GAPS else _dyadic_gaps(n)
     best = 0.0
-    for g in gaps:
-        chord = 2.0 * np.abs(np.sin(0.5 * (s[g:] - s[:-g])))
-        best = max(best, float(np.max(chord / np.sqrt(t[g:] - t[:-g]))))
+    if n > _DENSE_GAPS:
+        for g in _dyadic_gaps(n):
+            chord = 2.0 * np.abs(np.sin(0.5 * (s[g:] - s[:-g])))
+            best = max(best, float(np.max(chord / np.sqrt(t[g:] - t[:-g]))))
+        return best
+    # every pair i < j, each computed as by the gap loop above, in blocks of
+    # rows i whose pairs j > i take at most a quarter of _BLOCK_CELLS cells:
+    # a block holds about four arrays of them at once
+    lo = 0
+    while lo < n - 1:
+        hi = min(n - 1, lo + max(1, _BLOCK_CELLS // 4 // (n - 1 - lo)))
+        pair = ~np.tri(hi - lo, n - 1 - lo, -1, dtype=bool)   # row i, column j = lo + 1 + c
+        chord = 2.0 * np.abs(np.sin(0.5 * (s[lo + 1:] - s[lo:hi, None])[pair]))
+        best = max(best, float(np.max(chord / np.sqrt((t[lo + 1:] - t[lo:hi, None])[pair]))))
+        lo = hi
     return best
 
 

@@ -14,9 +14,11 @@ import json
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from slitweld.arcfun import ArcFunction
 from slitweld.errors import ValidationError
 from slitweld.loewner import boundary_flow
 
@@ -200,6 +202,67 @@ def dense_wp_level(log_chi_deriv, m_base: int, mm: int):
     alpha = (np.sum(cells[near1, :]) + np.sum(cells[:, near2])
              - np.sum(cells[np.ix_(near1, near2)]))
     return float(np.sum(cells)), float(alpha)
+
+
+# ------------------------------------------------------ dense mean oscillation
+
+def dense_vmo_curve(u, samples: int = 2048) -> list:
+    """regularity.vmo_curve by the dense pass at every scale.
+
+    Each window's deviations from its mean are taken cell by cell, in row
+    blocks of about 2^16 samples: the pass that the library's sums over
+    monotone runs replaced on long windows, kept as their reference for
+    values and for memory.  u is an ArcFunction (windows stay on its arc) or
+    a callable of angles (windows wrap around the circle).
+    """
+    if isinstance(u, ArcFunction):
+        f, span, start, periodic = u.eval_angle, u.arc.length, u.arc.start.angle, False
+    else:
+        f, span, start, periodic = u, TWO_PI, 0.0, True
+    h = span / samples
+    vals = np.asarray(f(start + (np.arange(samples) + 0.5) * h), dtype=float)
+    curve = []
+    scale = span
+    while scale / h >= 8:
+        wlen = int(np.clip(round(scale / h), 2, samples))
+        curve.append([scale, _dense_mean_oscillation(vals, wlen, periodic)])
+        scale *= 0.5
+    return curve
+
+
+def _dense_mean_oscillation(vals, wlen: int, periodic: bool) -> float:
+    if periodic:
+        vals = np.concatenate((vals, vals[: wlen - 1]))
+    windows = sliding_window_view(vals, wlen)
+    means = windows.mean(axis=1)
+    osc = np.empty_like(means)
+    rows = max(1, (1 << 16) // wlen)
+    buf = np.empty((min(rows, means.size), wlen))
+    for lo in range(0, means.size, rows):
+        dev = buf[:min(rows, means.size - lo)]
+        np.subtract(windows[lo:lo + rows], means[lo:lo + rows, None], out=dev)
+        osc[lo:lo + rows] = np.abs(dev, out=dev).mean(axis=1)
+    return float(osc.max())
+
+
+def three_product_wp_level(log_chi_deriv, m_base: int, mm: int):
+    """(total, alpha-cell mass) of one mm-point level of the wp cross integral.
+
+    Three FFT products, as regularity.wp_cross_condition took them before it
+    read the alpha mass off the total's product: the total's rows, the last
+    rows against every column, and the other rows against the first columns.
+    """
+    from slitweld.regularity import _zero_partner_sum
+
+    h = 0.5 * math.pi / mm
+    th1 = (np.arange(mm) + 0.5) * h
+    th2 = -0.5 * math.pi + (np.arange(mm) + 0.5) * h
+    u = np.asarray(log_chi_deriv(th1), dtype=float)
+    k = mm // m_base
+    total = _zero_partner_sum(th1[0], u, th2[0], mm, h) * h * h
+    alpha = (_zero_partner_sum(th1[-k], u[-k:], th2[0], mm, h)
+             + _zero_partner_sum(th1[0], u[:-k], th2[0], k, h)) * h * h
+    return total, alpha
 
 
 # ------------------------------------------------- harmonic extension, Horner
@@ -427,6 +490,20 @@ def random_lip_half_nodes(rng, n: int = 64, T: float = 1.0, const: float = 0.5):
     steps = rng.uniform(-1.0, 1.0, n) * const * np.sqrt(dt)
     sigma = np.concatenate([[0.0], np.cumsum(steps)])
     return grid, sigma
+
+
+def lip_half_gap_loop(d) -> float:
+    """regularity.lip_half_norm over every node gap, one pass per gap.
+
+    The loop that the library's row blocks replaced, kept as their reference:
+    each pair is the same floating-point expression, so the maxima are equal.
+    """
+    t, s = d.grid, d.sigma
+    best = 0.0
+    for g in range(1, t.size):
+        chord = 2.0 * np.abs(np.sin(0.5 * (s[g:] - s[:-g])))
+        best = max(best, float(np.max(chord / np.sqrt(t[g:] - t[:-g]))))
+    return best
 
 
 # ----------------------------------------------------------- sector shear mu

@@ -327,6 +327,29 @@ def test_selftest_failing_check_exits_1(monkeypatch, capsys):
     ]
 
 
+def test_parser_is_built_once_and_parses_as_before(tmp_path, driver_path, capsys):
+    cli._build_parser.cache_clear()
+    for k in (1, 2):
+        assert main(["weld", "--driver", driver_path, "--out", str(tmp_path / f"w{k}.csv"),
+                     "--samples", "8"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    fresh = cli._build_parser.__wrapped__()   # built anew, as each command used to
+    argv = ["analyze", "--welding", "w.csv", "--out", "r.json", "--keep-going",
+            "--window-samples", "8192"]
+    assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+    # --help exits 0 and an argparse error exits 2, with the same text as before
+    for argv, code in ((["analyze", "--help"], 0), (["analyze", "--quad-level", "x"], 2),
+                       (["unweld"], 2)):
+        outputs = []
+        for parse in (fresh.parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+
 def test_validation_exit_codes(tmp_path, driver_path):
     out = str(tmp_path / "w.csv")
     assert main(["weld", "--driver", driver_path, "--out", out,

@@ -13,6 +13,8 @@ import pytest
 from scipy.integrate import dblquad
 
 import oracles
+import slitweld.regularity as regularity
+from slitweld.arcfun import ArcFunction
 from slitweld.circle import MobiusCircleMap, arc
 from slitweld.errors import AccuracyError, ValidationError
 from slitweld.loewner import DrivingTerm
@@ -121,6 +123,130 @@ def test_vmo_curve_smooth_scaling():
     assert all(small < m for s, m in curve if s > scale)
 
 
+# samples on an arc of length 2; np.cos and "wrapping" are callables, whose
+# windows wrap around the whole circle
+_VMO_ARC = arc(0.3, 2.3)
+_VMO_NODES = np.linspace(0.0, 2.0, 4001)
+
+
+def _vmo_input(kind):
+    x = _VMO_NODES
+    if kind == "rising":
+        return ArcFunction(_VMO_ARC, x, 5.0 + np.tanh(3.0 * x))
+    if kind == "falling":
+        return ArcFunction(_VMO_ARC, x, 3.0 - np.exp(x))
+    if kind == "plateaus":   # ties, and flat steps in rising and falling runs
+        return ArcFunction(_VMO_ARC, x, np.floor(7.0 * x) + 0.25 * np.floor(40.0 * x) % 3)
+    if kind == "few_runs":
+        return ArcFunction(_VMO_ARC, x, np.sin(4.0 * x) + 0.1 * x)
+    if kind == "noise":
+        return ArcFunction(_VMO_ARC, x, np.random.default_rng(5).standard_normal(x.size))
+    if kind == "welding":   # one rising run, as on the benchmark weldings
+        d = DrivingTerm.from_function(lambda t: 0.4 * np.sqrt(t), 1.0, 256, power=2)
+        return welding_log_derivative(extract_welding(d, 128))
+    if kind == "lip_half_200":
+        d = DrivingTerm(*oracles.random_lip_half_nodes(np.random.default_rng(0), n=200,
+                                                        const=2.0))
+        return welding_log_derivative(extract_welding(d, 256))
+    if kind == "wrapping":   # three rising and three falling runs around the circle
+        return lambda th: np.round(4.0 * np.sin(3.0 * th)) / 4.0 + 100.0
+    return np.cos
+
+
+_VMO_KINDS = ["rising", "falling", "plateaus", "few_runs", "welding", "noise",
+              "lip_half_200", "wrapping", "cos"]
+
+
+@pytest.mark.parametrize("samples", [2048, 8192])
+@pytest.mark.parametrize("kind", _VMO_KINDS)
+def test_vmo_curve_matches_dense_reference(kind, samples):
+    u = _vmo_input(kind)
+    got = vmo_curve(u, samples)
+    want = oracles.dense_vmo_curve(u, samples)
+    assert [s for s, _ in got] == [s for s, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+def _greedy_runs(vals):
+    """Starts and directions of maximal monotone runs, one step at a time."""
+    starts, rising, direction = [0], [], 0
+    for k in range(vals.size - 1):
+        step = np.sign(vals[k + 1] - vals[k])
+        if step == 0 or step == direction:
+            continue
+        if direction == 0:
+            direction = step
+        else:
+            rising.append(direction > 0)
+            starts.append(k + 1)
+            direction = 0
+    rising.append(direction >= 0)
+    return starts, rising
+
+
+def test_monotone_runs_are_the_greedy_maximal_runs(rng):
+    for _ in range(500):
+        vals = rng.integers(0, rng.integers(1, 5), rng.integers(1, 30)).astype(float)
+        starts, rising = regularity._monotone_runs(vals)
+        want_starts, want_rising = _greedy_runs(vals)
+        assert starts.tolist() == want_starts
+        # the direction of a run with no moving step is free
+        moves = [np.any(np.diff(vals[a:b]) != 0)
+                 for a, b in zip(want_starts, want_starts[1:] + [vals.size])]
+        assert [r for r, m in zip(rising.tolist(), moves) if m] == \
+            [r for r, m in zip(want_rising, moves) if m]
+
+
+def _vmo_paths(monkeypatch, u, samples):
+    """Window lengths that vmo_curve sums over runs and by the dense pass."""
+    paths = {"runs": [], "dense": []}
+    by_runs, dense = regularity._RunSums.mean_oscillation, regularity._mean_oscillation
+
+    def runs(self, wlen, count):
+        paths["runs"].append(wlen)
+        return by_runs(self, wlen, count)
+
+    def dense_pass(vals, scale, h, periodic):
+        paths["dense"].append(regularity._window_length(scale, h, vals.size))
+        return dense(vals, scale, h, periodic)
+
+    monkeypatch.setattr(regularity._RunSums, "mean_oscillation", runs)
+    monkeypatch.setattr(regularity, "_mean_oscillation", dense_pass)
+    vmo_curve(u, samples)
+    return paths
+
+
+def test_vmo_curve_takes_runs_on_long_windows_of_monotone_samples(monkeypatch):
+    # one rising run: a pair costs _PAIR_COST cells, so windows of 64 samples
+    # and more take the runs, and the dense pass is cheaper below
+    paths = _vmo_paths(monkeypatch, _vmo_input("rising"), 2048)
+    assert paths == {"runs": [2048, 1024, 512, 256, 128, 64], "dense": [32, 16, 8]}
+    paths = _vmo_paths(monkeypatch, _vmo_input("noise"), 2048)
+    assert paths == {"runs": [], "dense": [2048, 1024, 512, 256, 128, 64, 32, 16, 8]}
+
+
+def test_vmo_curve_keeps_non_finite_samples_dense():
+    def u(th):
+        return np.where(th < 1.0, np.nan, np.sin(th))
+
+    assert all(math.isnan(m) for _, m in vmo_curve(u, 256))
+
+
+@pytest.mark.parametrize("kind", ["rising", "lip_half_200", "cos"])
+def test_vmo_curve_memory_stays_below_the_dense_pass(kind):
+    u = _vmo_input(kind)
+    peaks = []
+    for run in (oracles.dense_vmo_curve, vmo_curve):
+        tracemalloc.start()
+        try:
+            run(u, 8192)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+
+
 def test_bmo_dominated_by_seminorm(rng):
     for _ in range(3):
         u, _ = oracles.trig_poly(rng, 4)
@@ -168,6 +294,26 @@ def test_lip_half_norm_values(d_sqrt, d_const):
     # linear driver: the chordal ratio grows with the gap, so the full span wins
     lin = DrivingTerm(np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 17))
     assert lip_half_norm(lin) == pytest.approx(2.0 * math.sin(0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [64, 1024])
+def test_wp_cross_condition_matches_three_products(w_sqrt_256, m):
+    # one product per level, the alpha cells summed from kernel slices
+    w = w_sqrt_256
+    _, log_chi_deriv = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
+    three = [oracles.three_product_wp_level(log_chi_deriv, m, mm) for mm in (m, 2 * m, 4 * m)]
+    for include in (False, True):
+        got = wp_cross_condition(w, m=m, include_alpha_cells=include, strict=False)
+        want = tuple(total if include else total - alpha for total, alpha in three)
+        assert got["levels"] == pytest.approx(want, rel=1e-14)
+        assert got["alpha_cell_mass"] == pytest.approx(three[-1][1], rel=1e-14)
+
+
+def test_lip_half_norm_blocks_equal_the_gap_loop(d_sqrt):
+    fine = DrivingTerm(*oracles.random_lip_half_nodes(np.random.default_rng(3), n=4095,
+                                                       const=2.0))
+    for d in (d_sqrt, fine):
+        assert lip_half_norm(d) == oracles.lip_half_gap_loop(d)
 
 
 def test_wp_cross_condition_radial(w_const_256):
