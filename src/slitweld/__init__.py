@@ -20,7 +20,7 @@ from .errors import (AccuracyError, DiagnosticsError, ExtractionError,
 from .loewner import (DEFAULT_FLOW_PARAMS, PRECISE_FLOW_PARAMS, DrivingTerm,
                       FlowParams, TraceSample, boundary_flow, downward_flow,
                       slit_preimage_endpoints, trace_curve, trace_point, upward_flow)
-from .regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
+from .regularity import (h_half_seminorm, h_half_seminorm_detail,
                          lip_half_norm, loewner_energy, mr_constant, qs_constant,
                          vmo_curve, wp_cross_condition)
 from .welding import (Welding, build_tau, extract_welding, pair_residuals,

@@ -114,9 +114,9 @@ class RunConfig:
 # trace --profile-samples and construct --driver, each one angle sweep, and
 # for the tip sweep of trace --count.  An angle sweep costs about 0.1 to 0.25
 # us per sample and cell, plus about 0.06 to 0.12 ms per cell, less than 512
-# samples cost; a tip sweep about 0.15 us per tip and cut cell, plus about
-# 0.15 ms per cut cell.  So a run at the bound takes 2 to 3.5 s on a 2-core
-# x86-64 machine.
+# samples cost; a tip sweep about 0.15 to 0.2 us per tip and cut cell, plus
+# about 0.15 ms per cut cell.  So a run at the bound takes 2 to 3.5 s on a
+# 2-core x86-64 machine.
 _SWEEP_WORK = 1 << 24
 _SWEEP_CELL_SAMPLES = 512
 

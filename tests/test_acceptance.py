@@ -23,9 +23,8 @@ from slitweld.constructions import (BeltramiField, DiskMapEvaluator, lemma_q_map
                                     reflect_half_extension, welding_construction)
 from slitweld.loewner import (PRECISE_FLOW_PARAMS, DrivingTerm, downward_flow,
                               trace_point, upward_flow)
-from slitweld.regularity import (bmo_norm, h_half_seminorm, h_half_seminorm_detail,
-                                 loewner_energy, mr_constant, qs_constant,
-                                 wp_cross_condition)
+from slitweld.regularity import (h_half_seminorm, h_half_seminorm_detail, loewner_energy,
+                                 mr_constant, qs_constant, vmo_curve, wp_cross_condition)
 from slitweld.welding import (extract_welding, welding_as_homeomorphism,
                               welding_log_derivative)
 
@@ -123,7 +122,7 @@ def test_05_bmo_dominated_by_seminorm(rng, criterion):
         violations = []
         for k in range(100):
             u, _ = oracles.trig_poly(rng, int(rng.integers(1, 9)))
-            b = bmo_norm(u, samples=512)
+            b = max(m for _, m in vmo_curve(u, samples=512))
             s = h_half_seminorm(u, normalization="raw", m=64, strict=False)
             if b > s:
                 violations.append((k, b, s))

@@ -294,7 +294,7 @@ def test_winding_trace_tips_match_high_precision_table():
     # slope -100 for unit time: the unwrapped L = ln(1 - p) winds to about
     # 100 radians, and the tip maps' Newton stop must not grow with it; a
     # stop scaled by |L| leaves the tips at 0.5 and 1 about 2.3e-13 off.
-    # The largest error measured was 1.0e-14
+    # The largest error measured was 1.2e-14
     d = DrivingTerm([0.0, 1.0], [0.0, -100.0])
     for t, (re, im) in zip(oracles.SQRT_TIMES, oracles.WINDING_TRACE_TIPS):
         s = trace_point(d, t)
@@ -313,9 +313,29 @@ def test_trace_curve_radial_residuals_bound_errors(d_const):
             assert s.residual >= err
 
 
-def test_trace_curve_matches_trace_point_bit_for_bit(d_sqrt):
-    assert trace_curve(d_sqrt, 8) == [trace_point(d_sqrt, d_sqrt.T * k / 8)
-                                     for k in range(1, 9)]
+@pytest.mark.parametrize("nodes", [
+    None,
+    ([0.0, 1.0], [0.0, -100.0]),
+    oracles.random_lip_half_nodes(np.random.default_rng(1), n=200, const=20.0),
+], ids=["graded", "slope-100", "random1"])
+def test_trace_curve_matches_trace_point_bit_for_bit(nodes, d_sqrt):
+    # the slope -100 cell is cut into 100 pieces and the random driver's
+    # tips wind, so each tip map sees tips of many ages at once
+    d = d_sqrt if nodes is None else DrivingTerm(*nodes)
+    assert trace_curve(d, 8) == [trace_point(d, d.T * k / 8) for k in range(1, 9)]
+
+
+def test_wound_tip_is_predicted_on_its_own_sheet():
+    # at t = 903/1024 the tip has wound once around the singularity and comes
+    # back to p = 0.045 on a cell of slope -15.9; a Taylor step in r centred
+    # on the unwrapped L0 crosses the chart's singularity at p = 0, and Newton
+    # lands on a root outside the disk (|tip| = 2.71) with a residual of 4e-12
+    d = DrivingTerm(*oracles.random_lip_half_nodes(np.random.default_rng(1), n=200,
+                                                   const=20.0))
+    tips = np.array([s.tip for s in trace_curve(d, 1024)])
+    assert np.max(np.abs(tips)) < 1.0
+    t = 903 / 1024
+    assert abs(tips[902] - oracles.scipy_trace_tip(d, t)) < 1e-12
 
 
 def test_trace_curve_radial_monotone(d_const):
@@ -386,7 +406,7 @@ def test_born_flow_work_does_not_grow(d_sqrt, monkeypatch):
     # Newton iterations of the angle and the tip cell maps; a speedup must
     # come from cheaper iterations, not from skipped ones.  The counts fell
     # with better predictors (the angles' Taylor step in q = w^2, taken for
-    # every angle not young against dt; the fresh tips' Taylor step in r =
+    # every angle not young against dt; every tip's Taylor step in r =
     # (G(p)/(1 + c^2))^(1/2) and a fourth-order birth series) and a stop
     # that matches the correction each map applies (its cubic error): one
     # iteration in each of the 256 cells of extract_welding(d_sqrt, 64) and
@@ -429,3 +449,29 @@ def test_born_flow_work_does_not_grow(d_sqrt, monkeypatch):
     trace_curve(d_sqrt, 32)
     assert len(per_cell) == 256
     assert sum(per_cell) <= 256 and max(per_cell) <= 1
+
+
+@pytest.mark.parametrize("nodes, passes", [
+    (([0.0, 1.0], [0.0, -100.0]), (223, 288, 300)),
+    (oracles.random_lip_half_nodes(np.random.default_rng(0), n=200, const=20.0), (525, 580, 762)),
+    (oracles.random_lip_half_nodes(np.random.default_rng(1), n=200, const=20.0), (472, 527, 673)),
+], ids=["slope-100", "random0", "random1"])
+def test_tip_newton_passes_beyond_the_reference_drivers(nodes, passes, monkeypatch):
+    # Newton residual calls of trace_curve on steep pieces with tips that
+    # wind, where test_born_flow_work_does_not_grow's graded driver has none
+    calls = [0]
+    newton = loewner._newton
+
+    def counted_newton(x, residual, *args):
+        def counted(x):
+            calls[0] += 1
+            return residual(x)
+
+        return newton(x, counted, *args)
+
+    monkeypatch.setattr(loewner, "_newton", counted_newton)
+    d = DrivingTerm(*nodes)
+    for count, most in zip((32, 128, 1024), passes):
+        calls[0] = 0
+        trace_curve(d, count)
+        assert calls[0] <= most

@@ -19,7 +19,6 @@ from slitweld.circle import MobiusCircleMap, arc
 from slitweld.errors import AccuracyError, ValidationError
 from slitweld.loewner import DrivingTerm
 from slitweld.regularity import (
-    bmo_norm,
     h_half_seminorm,
     h_half_seminorm_detail,
     lip_half_norm,
@@ -250,7 +249,7 @@ def test_vmo_curve_memory_stays_below_the_dense_pass(kind):
 def test_bmo_dominated_by_seminorm(rng):
     for _ in range(3):
         u, _ = oracles.trig_poly(rng, 4)
-        assert bmo_norm(u) <= h_half_seminorm(u, normalization="raw", m=64)
+        assert max(m for _, m in vmo_curve(u)) <= h_half_seminorm(u, normalization="raw", m=64)
 
 
 def test_qs_constant_identity_and_kink():
@@ -344,7 +343,7 @@ def test_wp_doubling_increment_follows_divergence_law(w_sqrt_256):
 
 def test_bmo_of_extracted_log_derivative(w_const_256):
     f = welding_log_derivative(w_const_256)
-    assert bmo_norm(f, samples=512) < 1e-3
+    assert max(m for _, m in vmo_curve(f, samples=512)) < 1e-3
 
 
 # the three arcs of psi_j_decomposition: A x A is a same-arc sum, C x B pairs
