@@ -8,8 +8,7 @@ extension, interior shear, slit parametrization) are all evaluable.
 """
 
 from .arcfun import ArcFunction, ArcHomeomorphism
-from .circle import (CirclePoint, MobiusCircleMap, OrientedArc, arc,
-                     canonical_angle, mobius_from_triple)
+from .circle import CirclePoint, MobiusCircleMap, OrientedArc, arc, canonical_angle
 from .constructions import (BeltramiField, CirclePiece, DiskMapEvaluator,
                             PiecewiseCircleMap, build_psi, lemma_q_map,
                             poincare_l2_integral, psi_j_decomposition,

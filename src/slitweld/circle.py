@@ -25,7 +25,6 @@ __all__ = [
     "MobiusCircleMap",
     "canonical_angle",
     "arc",
-    "mobius_from_triple",
 ]
 
 
@@ -50,10 +49,6 @@ class CirclePoint:
             raise ValidationError("circle point angle must be finite")
         object.__setattr__(self, "angle", canonical_angle(self.angle))
 
-    @property
-    def z(self) -> complex:
-        return cmath.exp(1j * self.angle)
-
 
 @dataclass(frozen=True)
 class OrientedArc:
@@ -77,13 +72,6 @@ class OrientedArc:
 def arc(start_angle: float, end_angle: float) -> OrientedArc:
     """Shorthand constructor from raw angles."""
     return OrientedArc(CirclePoint(start_angle), CirclePoint(end_angle))
-
-
-def _ccw_triple(a1: float, a2: float, a3: float) -> bool:
-    # strict counterclockwise cyclic order of three distinct angles
-    g12 = math.fmod(a2 - a1, TWO_PI) % TWO_PI
-    g23 = math.fmod(a3 - a2, TWO_PI) % TWO_PI
-    return g12 > 0.0 and g23 > 0.0 and g12 + g23 < TWO_PI
 
 
 @dataclass(frozen=True)
@@ -119,45 +107,3 @@ class MobiusCircleMap:
         phase = cmath.exp(1j * self.rotation)
         return MobiusCircleMap(-self.rotation, -phase * self.pole)
 
-
-def mobius_from_triple(src: tuple[CirclePoint, CirclePoint, CirclePoint],
-                       dst: tuple[CirclePoint, CirclePoint, CirclePoint]) -> MobiusCircleMap:
-    """Disk automorphism sending one counterclockwise triple to another.
-
-    Solved through the cross ratio: both triples are carried to (0, 1, inf) and
-    the two chains are composed.  Degenerate or misordered triples are rejected.
-    """
-    for trip in (src, dst):
-        t1, t2, t3 = (p.angle for p in trip)
-        if not _ccw_triple(t1, t2, t3):
-            raise ValidationError("triple must be distinct and in counterclockwise order")
-
-    z1, z2, z3 = (p.z for p in src)
-    w1, w2, w3 = (p.z for p in dst)
-
-    def std_matrix(p1, p2, p3):
-        # matrix of z -> (z - p1)(p2 - p3) / ((z - p3)(p2 - p1)), which sends
-        # (p1, p2, p3) to (0, 1, inf)
-        return (p2 - p3), -p1 * (p2 - p3), (p2 - p1), -p3 * (p2 - p1)
-
-    a1, b1, c1, d1 = std_matrix(z1, z2, z3)
-    a2, b2, c2, d2 = std_matrix(w1, w2, w3)
-    # M = adj(B) A implements B^{-1} o A up to scale
-    a = d2 * a1 - b2 * c1
-    b = d2 * b1 - b2 * d1
-    c = -c2 * a1 + a2 * c1
-    d = -c2 * b1 + a2 * d1
-
-    pole = -b / a
-    if abs(pole) >= 1.0 - 1e-13:
-        raise ValidationError("triples do not determine a disk automorphism")
-    base = MobiusCircleMap(0.0, pole)
-    w_ref = (a * z1 + b) / (c * z1 + d)
-    rot = cmath.phase(w_ref / base(z1))
-    m = MobiusCircleMap(rot, pole)
-
-    # anchor check: the construction must reproduce the triple to near machine accuracy
-    for zp, wp in zip((z1, z2, z3), (w1, w2, w3)):
-        if abs(m(zp) - wp) > 1e-12:
-            raise ValidationError("Mobius interpolation failed anchor verification")
-    return m

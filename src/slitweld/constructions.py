@@ -153,7 +153,7 @@ def build_psi(w: Welding) -> PiecewiseCircleMap:
     conjugation) on the quarter arc before 1; its reflection through z -> -z
     on the quarter arc after -1.
     """
-    chi, chi_ld = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
+    chi, chi_ld = _conjugated_welding(w)
 
     pieces = [
         CirclePiece(arc(0.0, math.pi), lambda th: th, np.zeros_like, "identity"),

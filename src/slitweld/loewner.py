@@ -644,10 +644,11 @@ def _tip_map(ell, err, dt, young, youth, a, r2):
         return (2.0 * _log1p(mh0 * w) - a * dx - rdt, r2 * em / h2, k,
                 np.abs(k) * (2.0 * np.abs(k) + np.abs(1.0 - 2.0 * a * eh) / 3.0))
 
-    # scaled by |Re L| only: Im L, the unwrapped winding, grows with no bound
-    # on a steep cell, and the tip's error is |tip| times L's
+    # the stop and the rounding of L scale by |Re L| only: Im L, the unwrapped
+    # winding, grows with no bound on a steep cell, and _trace_samples counts
+    # its rounding once, at the tip; the tip's error is |tip| times L's
     x, est, df = _newton(x, residual, _NEWTON_TOL * np.maximum(1.0, np.abs(ell.real)))
-    rounding = np.abs(x) + (np.abs(a * (x - ell)) + rdt) / np.abs(df)
+    rounding = np.abs(x.real) + (np.abs(a * (x - ell)) + rdt) / np.abs(df)
     return x, err * np.abs(r2 * em0 / (h02 * df)) + est + _ROUNDING * rounding
 
 
@@ -661,21 +662,23 @@ def _trace_samples(d: DrivingTerm, times):
     the bottom up moves every tip alive in a cell by one vector Newton solve
     (_tip_map).  A cell is cut into ceil(|delta sigma|) pieces, so |c| Delta
     <= 1 on each, and a tip is young while under kappa = _TIP_BIRTH / (1 +
-    |c|) old at a piece's start.  The residual bounds the tip's error.
+    |c|) old at a piece's start.  The residual bounds the tip's error, with
+    the rounding of Im L counted once.  A tip outside the closed disk, Re L >
+    0, is a wrong root and raises DiagnosticsError.
     """
     births = d.T - np.asarray(times, dtype=float)
     order = np.argsort(births, kind="stable")
     s0 = births[order]
     ell, err = np.zeros(s0.size, dtype=complex), np.zeros(s0.size)
-    # every piece of the cells from the first birth up, with the tips alive
-    # and young on it
-    first = int(np.searchsorted(d.grid, s0[0], side="right")) - 1
-    per_cell = np.maximum(1, np.ceil(np.abs(np.diff(d.sigma[first:]))).astype(int))
-    cell = np.repeat(np.arange(first, d.grid.size - 1), per_cell)
+    # every piece of the cells that ends above the first birth, with the
+    # tips alive and young on it
+    per_cell = np.maximum(1, np.ceil(np.abs(np.diff(d.sigma))).astype(int))
+    cell = np.repeat(np.arange(d.grid.size - 1), per_cell)
     j = np.arange(cell.size) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
-    n, g0, g1 = per_cell[cell - first], d.grid[cell], d.grid[cell + 1]
-    los = g0 + (g1 - g0) * j / n
+    n, g0, g1 = per_cell[cell], d.grid[cell], d.grid[cell + 1]
     his = np.where(j + 1 == n, g1, g0 + (g1 - g0) * (j + 1) / n)
+    keep = his > s0[0]
+    cell, los, his = cell[keep], (g0 + (g1 - g0) * j / n)[keep], his[keep]
     c = np.asarray(d._slope)[cell]
     kappas = _TIP_BIRTH / (1.0 + np.abs(c))
     young = s0.searchsorted(los - kappas, side="right")
@@ -687,9 +690,11 @@ def _trace_samples(d: DrivingTerm, times):
             dt = hi - start
             youth = np.minimum(dt[young:], s0[young:alive] + kappa - start[young:])
             ell[:alive], err[:alive] = _tip_map(ell[:alive], err[:alive], dt, young, youth, a, r2)
+    if np.any(ell.real > 0.0):
+        raise DiagnosticsError("trace tip map landed outside the disk")
     undo = np.argsort(order)
     tips = cmath.exp(1j * d._s[-1]) * np.exp(ell[undo])
-    residual = np.abs(tips) * (err[undo] + _ROUNDING)
+    residual = np.abs(tips) * (err[undo] + _ROUNDING * (1.0 + np.abs(ell.imag[undo])))
     over = np.flatnonzero(residual > _TRACE_RESIDUAL_TOL)
     if over.size:
         raise TraceError(float(residual[over[0]]))

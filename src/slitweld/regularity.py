@@ -46,7 +46,7 @@ from .arcfun import ArcFunction, ArcHomeomorphism
 from .circle import TWO_PI, OrientedArc, arc
 from .errors import AccuracyError, ValidationError
 from .loewner import DrivingTerm
-from .welding import Welding, _conjugated_welding, build_tau
+from .welding import Welding, _conjugated_welding
 
 __all__ = [
     "h_half_seminorm",
@@ -258,7 +258,7 @@ def wp_cross_condition(w: Welding, m: int = 256, include_alpha_cells: bool = Fal
     to i and -i rest on one-sided derivative data and are excluded unless
     include_alpha_cells is set; their contribution is reported separately.
     """
-    _, log_chi_deriv = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
+    _, log_chi_deriv = _conjugated_welding(w)
     A1 = arc(0.0, 0.5 * math.pi)
     A2 = arc(-0.5 * math.pi, 0.0)
     alpha_masses = []   # the cells within one base-level cell of i or of -i

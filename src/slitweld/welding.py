@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcfun import ArcFunction, ArcHomeomorphism
-from .circle import (TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, canonical_angle,
-                     mobius_from_triple)
+from .circle import TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, canonical_angle
 from .errors import ExtractionError, ValidationError
 from .loewner import DrivingTerm, _absorbed_angles, slit_preimage_endpoints
 
@@ -134,14 +133,32 @@ def welding_as_homeomorphism(w: Welding) -> ArcHomeomorphism:
 
 
 def build_tau(alpha_minus: CirclePoint, alpha_plus: CirclePoint) -> MobiusCircleMap:
-    """Disk automorphism with tau(-i) = alpha_minus, tau(1) = 1, tau(i) = alpha_plus."""
-    return mobius_from_triple(
-        (CirclePoint(-0.5 * math.pi), CirclePoint(0.0), CirclePoint(0.5 * math.pi)),
-        (alpha_minus, CirclePoint(0.0), alpha_plus))
+    """Disk automorphism with tau(-i) = alpha_minus, tau(1) = 1, tau(i) = alpha_plus.
+
+    In the chart x = -cot(theta/2), which sends 1, -i, i to infinity, 1, -1,
+    tau is x -> a x + b, a = (x- - x+)/2, b = (x- + x+)/2; its pole is the
+    preimage of x = i.  Endpoints at 1, coincident or out of counterclockwise
+    order (a <= 0) are rejected, and so is a map that misses them by 1e-12.
+    """
+    if alpha_minus.angle == 0.0 or alpha_plus.angle == 0.0:
+        raise ValidationError("welded endpoints must differ from the base point 1")
+    x_minus, x_plus = (-1.0 / math.tan(0.5 * p.angle) for p in (alpha_minus, alpha_plus))
+    a, b = 0.5 * (x_minus - x_plus), 0.5 * (x_minus + x_plus)
+    pole = complex(-b, 1.0 - a) / complex(-b, 1.0 + a)
+    if not abs(pole) < 1.0 - 1e-13:
+        raise ValidationError("endpoints do not determine a disk automorphism")
+    tau = MobiusCircleMap(-2.0 * math.atan2(-pole.imag, 1.0 - pole.real), pole)   # tau(1) = 1
+    miss = tau(np.exp(0.5j * math.pi * np.array([-1.0, 0.0, 1.0]))) - np.exp(
+        1j * np.array([alpha_minus.angle, 0.0, alpha_plus.angle]))
+    if not np.max(np.abs(miss)) <= 1e-12:
+        raise ValidationError("Mobius interpolation failed anchor verification")
+    return tau
 
 
-def _conjugated_welding(w: Welding, tau: MobiusCircleMap):
-    """Angle map and log-derivative of tau^-1 o phi o tau on the arc from 1 to i."""
+def _conjugated_welding(w: Welding):
+    """Angle map and log-derivative of tau^-1 o phi o tau on the arc from 1 to i,
+    with tau = build_tau(w.alpha_minus, w.alpha_plus)."""
+    tau = build_tau(w.alpha_minus, w.alpha_plus)
     tau_inv = tau.inverse()
     phi_ld = welding_log_derivative(w)
 

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from slitweld.arcfun import ArcHomeomorphism
-from slitweld.circle import (CirclePoint, MobiusCircleMap, arc, canonical_angle,
-                             mobius_from_triple)
+from slitweld.circle import CirclePoint, MobiusCircleMap, arc, canonical_angle
 from slitweld.constructions import build_psi
 from slitweld.errors import ValidationError
 from slitweld.welding import Welding, radial_slit_welding
@@ -47,7 +46,6 @@ def test_circle_maps_share_the_canonical_interval():
 def test_circle_point_canonicalizes():
     p = CirclePoint(3.0 * math.pi)
     assert p.angle == math.pi
-    assert abs(p.z - cmath.exp(1j * math.pi)) < 1e-15
     with pytest.raises(ValidationError):
         CirclePoint(math.inf)
 
@@ -91,19 +89,3 @@ def test_log_deriv_angle_integrates_to_zero():
     total = np.mean(np.exp(m.log_deriv_angle(th))) * TWO_PI
     assert abs(total - TWO_PI) < 1e-6
 
-
-def test_mobius_from_triple_anchors_and_order():
-    src = (CirclePoint(-1.0), CirclePoint(0.5), CirclePoint(2.0))
-    dst = (CirclePoint(-2.0), CirclePoint(0.1), CirclePoint(1.4))
-    m = mobius_from_triple(src, dst)
-    for s, t in zip(src, dst):
-        assert abs(m(s.z) - t.z) < 1e-12
-        assert abs(canonical_angle(m.apply_angle(s.angle) - t.angle)) < 1e-12
-    with pytest.raises(ValidationError):
-        mobius_from_triple((src[0], src[2], src[1]), dst)
-
-
-def test_mobius_from_triple_identity():
-    trip = (CirclePoint(-0.4), CirclePoint(0.2), CirclePoint(1.1))
-    m = mobius_from_triple(trip, trip)
-    assert abs(m.pole) < 1e-12 and abs(m.rotation) < 1e-12

@@ -57,6 +57,35 @@ def test_build_tau_moves_endpoint_triple():
     assert abs(_canon(tau.apply_angle(0.5 * math.pi) - 1.1)) < 1e-9
 
 
+def test_build_tau_anchors_on_random_endpoints():
+    # two points u1 < u2 of (0, 2 pi), at least 1e-3 from 1 and from each
+    # other, give the lifted endpoints alpha_plus = u1 and alpha_minus = u2 -
+    # 2 pi; the anchors are compared as points of the circle
+    rng = np.random.default_rng(5)
+    src = np.exp(0.5j * math.pi * np.array([-1.0, 0.0, 1.0]))
+    count, worst = 0, 0.0
+    while count < 2000:
+        u1, u2 = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2))
+        if min(u1, u2 - u1, 2.0 * math.pi - u2) < 1e-3:
+            continue
+        tau = build_tau(CirclePoint(u2 - 2.0 * math.pi), CirclePoint(u1))
+        dst = np.exp(1j * np.array([u2 - 2.0 * math.pi, 0.0, u1]))
+        worst = max(worst, float(np.max(np.abs(tau(src) - dst))))
+        count += 1
+    assert worst <= 1e-12
+
+
+def test_build_tau_identity_and_rejections():
+    tau = build_tau(CirclePoint(-0.5 * math.pi), CirclePoint(0.5 * math.pi))
+    assert abs(tau.pole) < 1e-12 and abs(tau.rotation) < 1e-12
+    th = np.linspace(-3.0, 3.0, 13)
+    assert np.max(np.abs(tau.apply_angle(th) - th)) < 1e-12
+    # an endpoint at 1, swapped endpoints, coincident endpoints
+    for am, ap in ((0.0, 1.0), (1.1, -0.9), (0.7, 0.7)):
+        with pytest.raises(ValidationError):
+            build_tau(CirclePoint(am), CirclePoint(ap))
+
+
 def test_piecewise_map_validation():
     ident = lambda th: np.asarray(th, dtype=float)
     zero = lambda th: np.zeros_like(np.asarray(th, dtype=float))

@@ -6,6 +6,7 @@ an independent scipy integrator for everything path-dependent.
 """
 
 import cmath
+import json
 import math
 import re
 
@@ -23,6 +24,7 @@ from slitweld.errors import (
     ValidationError,
 )
 from slitweld import loewner
+from slitweld.cli import main
 from slitweld.loewner import (
     DEFAULT_FLOW_PARAMS,
     PRECISE_FLOW_PARAMS,
@@ -301,6 +303,53 @@ def test_winding_trace_tips_match_high_precision_table():
         err = abs(s.tip - complex(re, im))
         assert err <= 2e-14
         assert err <= s.residual
+
+
+def test_winding_trace_residual_tracks_the_error():
+    # the rounding of Im L, about 100 radians here, is counted once at the
+    # tip and not on each of the 100 pieces: the residual at t = 1 reads
+    # 1.6e-13, against an error of 1.1e-14 (1.9e-12 when counted per piece)
+    d = DrivingTerm([0.0, 1.0], [0.0, -100.0])
+    s = trace_point(d, 1.0)
+    err = abs(s.tip - complex(*oracles.WINDING_TRACE_TIPS[-1]))
+    assert err <= s.residual <= 2e-13
+
+
+def test_trace_sweep_skips_pieces_below_the_first_birth(monkeypatch):
+    # the tip at 0.003 is born at 0.997, in the last of the cell's 100 pieces
+    d = DrivingTerm([0.0, 1.0], [0.0, -100.0])
+    calls = [0]
+    tip_map = loewner._tip_map
+
+    def counted(*args):
+        calls[0] += 1
+        return tip_map(*args)
+
+    monkeypatch.setattr(loewner, "_tip_map", counted)
+    s = trace_point(d, 0.003)
+    assert calls[0] == 1
+    # bit for bit the tip of a sweep over every piece
+    assert trace_curve(d, 1000)[2] == s
+
+
+def test_tip_outside_the_disk_is_a_diagnostics_error(d_const, tmp_path, monkeypatch):
+    # the driver's one cell is one piece; a wrong root on it must not be
+    # written as a tip.  Of 128 tips (the trace default) the newest has
+    # |tip| = 0.84, so e^0.5 puts it outside the disk
+    tip_map = loewner._tip_map
+
+    def wrong_root(*args):
+        ell, err = tip_map(*args)
+        return ell + 0.5, err
+
+    monkeypatch.setattr(loewner, "_tip_map", wrong_root)
+    with pytest.raises(DiagnosticsError):
+        trace_curve(d_const, 128)
+    driver, out = tmp_path / "driver.json", tmp_path / "trace.csv"
+    driver.write_text(json.dumps({"T": d_const.T, "grid": d_const.grid.tolist(),
+                                  "sigma": d_const.sigma.tolist()}))
+    assert main(["trace", "--driver", str(driver), "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_trace_curve_radial_residuals_bound_errors(d_const):

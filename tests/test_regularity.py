@@ -31,7 +31,6 @@ from slitweld.regularity import (
 from slitweld.welding import (
     Welding,
     _conjugated_welding,
-    build_tau,
     extract_welding,
     radial_slit_welding,
     welding_as_homeomorphism,
@@ -299,7 +298,7 @@ def test_lip_half_norm_values(d_sqrt, d_const):
 def test_wp_cross_condition_matches_three_products(w_sqrt_256, m):
     # one product per level, the alpha cells summed from kernel slices
     w = w_sqrt_256
-    _, log_chi_deriv = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
+    _, log_chi_deriv = _conjugated_welding(w)
     three = [oracles.three_product_wp_level(log_chi_deriv, m, mm) for mm in (m, 2 * m, 4 * m)]
     for include in (False, True):
         got = wp_cross_condition(w, m=m, include_alpha_cells=include, strict=False)
@@ -371,7 +370,7 @@ def test_blocked_kernel_matches_dense_reference(rng, pair, m):
 @pytest.mark.parametrize("m", [16, 64])
 def test_wp_cross_condition_matches_dense_reference(w_sqrt_256, m):
     w = w_sqrt_256
-    _, log_chi_deriv = _conjugated_welding(w, build_tau(w.alpha_minus, w.alpha_plus))
+    _, log_chi_deriv = _conjugated_welding(w)
     dense = [oracles.dense_wp_level(log_chi_deriv, m, mm) for mm in (m, 2 * m, 4 * m)]
     assert dense[-1][1] > 0.0
     for include in (False, True):
