@@ -73,21 +73,13 @@ class ArcHomeomorphism:
         if np.any(d <= 0.0):
             raise ValidationError("domain offsets must be strictly increasing")
         di = np.diff(self.images)
-        if np.all(di > 0.0):
-            self._orientation = 1
-        elif np.all(di < 0.0):
-            self._orientation = -1
-        else:
+        if not (np.all(di > 0.0) or np.all(di < 0.0)):
             raise ValidationError("image samples must be strictly monotone")
         if self.offsets[0] < -1e-9 or self.offsets[-1] > self.domain.length + 1e-9:
             raise ValidationError("offsets must lie within the domain arc")
         lo, hi = min(self.images[0], self.images[-1]), max(self.images[0], self.images[-1])
         if lo < -1e-9 or hi > self.codomain.length + 1e-9:
             raise ValidationError("images must lie within the codomain arc")
-
-    @property
-    def orientation(self) -> int:
-        return self._orientation
 
     def eval_offset(self, s):
         return np.interp(np.asarray(s, dtype=float), self.offsets, self.images)
@@ -103,9 +95,3 @@ class ArcHomeomorphism:
         slopes = np.abs(np.diff(self.images) / np.diff(self.offsets))
         idx = np.clip(np.searchsorted(self.offsets, s, side="right") - 1, 0, slopes.size - 1)
         return np.log(slopes[idx])
-
-    def inverse(self) -> "ArcHomeomorphism":
-        if self._orientation > 0:
-            return ArcHomeomorphism(self.codomain, self.domain, self.images, self.offsets)
-        return ArcHomeomorphism(self.codomain, self.domain,
-                                self.images[::-1].copy(), self.offsets[::-1].copy())

@@ -233,7 +233,6 @@ def _cmd_analyze(args, outputs: list) -> int:
         "qs_constant": qs,
         "mr_constant": mr_constant(w),
         "wp_cross_integral": wp["value"],
-        "wp_alpha_cell_mass": wp["alpha_cell_mass"],
         "loewner_energy": loewner_energy(d) if d is not None else None,
         "lip_half_norm": lip_half_norm(d) if d is not None else None,
         "refinement_flags": {

@@ -83,25 +83,26 @@ class PiecewiseCircleMap:
                 raise ValidationError(
                     f"pieces disagree at junction angle {end:.6f}: {v1:.12f} vs {v2:.12f}")
         self.pieces = list(pieces)
-        self._starts = np.array([p.arc.start.angle for p in pieces])
-        self._lengths = np.array([p.arc.length for p in pieces])
+        self._start = pieces[0].arc.start.angle
+        self._ends = np.cumsum([p.arc.length for p in pieces])
         th = np.linspace(0.0, TWO_PI, 360, endpoint=False)
         lifted = np.unwrap(self.apply_angle(th))
         if np.any(np.diff(lifted) <= 0.0):
             raise ValidationError("assembled map is not sense-preserving")
 
-    def _piece_masks(self, theta: np.ndarray):
-        rel = np.mod(theta[None, :] - self._starts[:, None], TWO_PI)
+    def _owner(self, theta: np.ndarray):
+        """Index of the first piece that holds each angle."""
         # closed at both ends so junction angles always land in some piece;
-        # values there agree to 1e-9, so the choice is immaterial
-        inside = rel <= self._lengths[:, None] + 1e-12
-        return np.argmax(inside, axis=0)
+        # values there agree to 1e-9, so the choice is immaterial.  An angle
+        # past the last end, within the cover tolerance, goes to piece 0
+        rel = np.mod(theta - self._start, TWO_PI)
+        return np.searchsorted(self._ends + 1e-12, rel) % len(self.pieces)
 
     def _by_piece(self, theta, rules):
         """Each angle through the rule of the piece that owns it; a float for a scalar."""
         scalar = np.ndim(theta) == 0
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        owner = self._piece_masks(theta)
+        owner = self._owner(theta)
         out = np.empty_like(theta)
         for i, rule in enumerate(rules):
             sel = owner == i

@@ -12,8 +12,7 @@ i - j, so the sum of (u1_i - u2_j)^2 K_ij is u1^2 . K1 + 1 . K u2^2
 embedding and FFT (Strang 1986; Chan and Ng 1996) in O(m log m) time and O(m)
 memory.  Against a partner u2 that is identically 0 (the wp cross integral,
 and log |psi'| on the arc where psi is the identity) the sum is u1^2 . K1, one
-product; the wp cross integral reads its alpha cells, a few rows and columns,
-off the kernel directly.  When one arc's step is r times the other's, the finer grid is split
+product.  When one arc's step is r times the other's, the finer grid is split
 into its r interleaved phases, each a product on the coarser step, so every
 level sums exactly the midpoint cells of the dense formula.  With a nonzero
 partner, both functions are first centered on one shared constant: the
@@ -247,39 +246,24 @@ def h_half_seminorm(u, I: OrientedArc | None = None, J: OrientedArc | None = Non
     return d["value"]
 
 
-def wp_cross_condition(w: Welding, m: int = 256, include_alpha_cells: bool = False,
-                       agree_tol: float = 0.02, strict: bool = False) -> dict:
+def wp_cross_condition(w: Welding, m: int = 256, agree_tol: float = 0.02,
+                       strict: bool = False) -> dict:
     """Cross energy of log |(tau^-1 phi tau)'| between its domain and image arcs.
 
     The conjugated welding chi = tau^-1 phi tau carries the quarter arc from 1
     to i onto the quarter arc from -i to 1; the integral couples log |chi'| on
-    the first arc to the second through the chordal kernel and is finite only
-    when log |chi'| vanishes fast enough at the shared endpoint 1.  Cells next
-    to i and -i rest on one-sided derivative data and are excluded unless
-    include_alpha_cells is set; their contribution is reported separately.
+    the first arc to 0 on the second through the chordal kernel and is finite
+    only when log |chi'| vanishes fast enough at the shared endpoint 1.  Every
+    cell is summed, those next to i and -i included.
     """
+    if m < 8:
+        raise ValidationError("base quadrature level must be at least 8")
     _, log_chi_deriv = _conjugated_welding(w)
     A1 = arc(0.0, 0.5 * math.pi)
     A2 = arc(-0.5 * math.pi, 0.0)
-    alpha_masses = []   # the cells within one base-level cell of i or of -i
 
     def q(mm):
-        th1, h = _midpoints(A1, mm)
-        th2, _ = _midpoints(A2, mm)
-        u = log_chi_deriv(th1)
-        usq = u * u
-        k = mm // m   # cells per alpha cell: the last k of th1 and the first k of th2
-        kernel = _kernel(th1[0], mm, th2[0], mm, h, False)   # lag i - j at mm - 1 + i - j
-        total = float(np.dot(usq, _toeplitz_rows(kernel, np.ones(mm), mm, mm))) * h * h
-        # the alpha cells: the last k rows against every column, and the other
-        # rows against the first k columns.  Each is a slice of the kernel,
-        # summed directly: the product's rounding scales with the kernel's
-        # largest entries, by the shared endpoint 1, not with these
-        last_rows = [kernel[i:i + mm].sum() for i in range(mm - k, mm)]
-        first_cols = sum(kernel[mm - 1 - j:2 * mm - 1 - k - j] for j in range(k))
-        alpha_mass = float(np.dot(usq[-k:], last_rows) + np.dot(usq[:-k], first_cols)) * h * h
-        alpha_masses.append(alpha_mass)
-        return total if include_alpha_cells else total - alpha_mass
+        return _level(A1, log_chi_deriv(_midpoints(A1, mm)[0]), A2, np.zeros(mm), False)
 
     value, levels, extrap, agreement = _richardson((q(m), q(2 * m), q(4 * m)),
                                                    agree_tol, strict)
@@ -289,8 +273,6 @@ def wp_cross_condition(w: Welding, m: int = 256, include_alpha_cells: bool = Fal
         "extrapolants": extrap,
         "agreement": agreement,
         "converged": agreement <= agree_tol,
-        "alpha_cell_mass": alpha_masses[-1],   # the finest level, q(4 m)
-        "alpha_cells_included": include_alpha_cells,
         "base_level": m,
     }
 
@@ -463,6 +445,8 @@ def vmo_curve(u, samples: int = 2048) -> list:
     (_RunSums) when its window-run pairs cost less than the cells of the
     dense pass (_mean_oscillation), which takes every other scale.
     """
+    if samples < _MIN_WINDOW:
+        raise ValidationError(f"vmo_curve needs at least {_MIN_WINDOW} samples")
     f, dom = _resolve(u)
     periodic = dom is None
     span, start = (TWO_PI, 0.0) if periodic else (dom.length, dom.start.angle)
@@ -502,6 +486,8 @@ def qs_constant(h: ArcHomeomorphism, positions: int = 256) -> float:
     Compares chordal image lengths of adjacent equal-length arcs; a degenerate
     image chord yields inf.
     """
+    if positions < 1:
+        raise ValidationError("qs_constant needs at least one position")
     L = h.domain.length
     worst = 1.0
     for j in range(1, _QS_DEPTH + 1):

@@ -184,24 +184,17 @@ def blocked_chordal_sum(th1, u1, th2, u2, same: bool) -> float:
     return 0.25 * total
 
 
-def dense_wp_level(log_chi_deriv, m_base: int, mm: int):
-    """(total, alpha-cell mass) of one mm-point level of the wp cross integral.
+def dense_wp_level(log_chi_deriv, mm: int) -> float:
+    """One mm-point level of the wp cross integral, cell by cell.
 
-    log |chi'| on the arc from 1 to i against 0 on the arc from -i to 1; the
-    alpha cells are those within one base-level cell (pi / (2 m_base)) of i
-    in the first angle or of -i in the second.
+    log |chi'| on the arc from 1 to i against 0 on the arc from -i to 1.
     """
     h = 0.5 * math.pi / mm
     th1 = (np.arange(mm) + 0.5) * h
     th2 = -0.5 * math.pi + (np.arange(mm) + 0.5) * h
     cells = _dense_cells(th1, np.asarray(log_chi_deriv(th1), dtype=float),
                          th2, np.zeros(mm), np.ones((mm, mm))) * (h * h)
-    delta = 0.5 * math.pi / m_base
-    near1 = th1 > 0.5 * math.pi - delta
-    near2 = th2 < -0.5 * math.pi + delta
-    alpha = (np.sum(cells[near1, :]) + np.sum(cells[:, near2])
-             - np.sum(cells[np.ix_(near1, near2)]))
-    return float(np.sum(cells)), float(alpha)
+    return float(np.sum(cells))
 
 
 # ------------------------------------------------------ dense mean oscillation
@@ -245,12 +238,11 @@ def _dense_mean_oscillation(vals, wlen: int, periodic: bool) -> float:
     return float(osc.max())
 
 
-def three_product_wp_level(log_chi_deriv, m_base: int, mm: int):
-    """(total, alpha-cell mass) of one mm-point level of the wp cross integral.
+def three_product_wp_level(log_chi_deriv, mm: int) -> float:
+    """One mm-point level of the wp cross integral by one direct FFT product.
 
-    Three FFT products, as regularity.wp_cross_condition took them before it
-    read the alpha mass off the total's product: the total's rows, the last
-    rows against every column, and the other rows against the first columns.
+    The product regularity._zero_partner_sum takes on the two quarter arcs'
+    own grids, without the grid bookkeeping of regularity._level.
     """
     from slitweld.regularity import _zero_partner_sum
 
@@ -258,11 +250,7 @@ def three_product_wp_level(log_chi_deriv, m_base: int, mm: int):
     th1 = (np.arange(mm) + 0.5) * h
     th2 = -0.5 * math.pi + (np.arange(mm) + 0.5) * h
     u = np.asarray(log_chi_deriv(th1), dtype=float)
-    k = mm // m_base
-    total = _zero_partner_sum(th1[0], u, th2[0], mm, h) * h * h
-    alpha = (_zero_partner_sum(th1[-k], u[-k:], th2[0], mm, h)
-             + _zero_partner_sum(th1[0], u[:-k], th2[0], k, h)) * h * h
-    return total, alpha
+    return _zero_partner_sum(th1[0], u, th2[0], mm, h) * h * h
 
 
 # ------------------------------------------------- harmonic extension, Horner
@@ -290,6 +278,22 @@ def horner_extension(ext, z: complex):
     for k in range(len(neg), 0, -1):
         db = db * zb + k * neg[k - 1]
     return a + b * zb, da, db
+
+
+# -------------------------------------------------------- piece owner, by mask
+
+def mask_piece_owner(psi, theta):
+    """Index of the first piece of a PiecewiseCircleMap that holds each angle.
+
+    Each piece tests every angle against its own start and length, closed at
+    both ends with 1e-12 of slack; an angle no piece holds goes to piece 0:
+    the pieces x angles pass that the map's one search replaced, kept as its
+    reference.
+    """
+    starts = np.array([p.arc.start.angle for p in psi.pieces])
+    lengths = np.array([p.arc.length for p in psi.pieces])
+    rel = np.mod(np.asarray(theta, dtype=float)[None, :] - starts[:, None], TWO_PI)
+    return np.argmax(rel <= lengths[:, None] + 1e-12, axis=0)
 
 
 # ---------------------------------------------------------- Wirtinger by FD

@@ -170,7 +170,7 @@ def test_weld_reruns_are_byte_identical_on_random_drivers(seed, const):
 _REPORT_FIELDS = [
     "config", "normalization", "T", "alpha_plus", "alpha_minus",
     "seminorm_log_phi_prime", "seminorm_domain", "bmo", "vmo_curve",
-    "qs_constant", "mr_constant", "wp_cross_integral", "wp_alpha_cell_mass",
+    "qs_constant", "mr_constant", "wp_cross_integral",
     "loewner_energy", "lip_half_norm", "refinement_flags", "tolerances",
 ]
 

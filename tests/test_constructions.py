@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from slitweld.arcfun import ArcHomeomorphism
-from slitweld.circle import CirclePoint, MobiusCircleMap, arc
+from slitweld.circle import TWO_PI, CirclePoint, MobiusCircleMap, arc
 from slitweld.constructions import (
     BeltramiField,
     CirclePiece,
@@ -119,6 +119,14 @@ def test_piecewise_map_returns_a_float_only_for_a_scalar():
         assert isinstance(one, np.ndarray) and one.shape == (1,)
         assert isinstance(rule(0.4), float)
         assert one[0] == rule(0.4)
+
+
+def test_piece_owner_matches_the_mask_rule(w_sqrt_256, rng):
+    grid = np.arange(2048) * TWO_PI / 2048   # the samples of _HarmonicExtension
+    for psi in (_smooth_circle_map(), build_psi(w_sqrt_256)):
+        junctions = np.array([a for p in psi.pieces for a in (p.arc.start.angle, p.arc.end.angle)])
+        for theta in (rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI, 10_000), junctions, grid):
+            assert psi._owner(theta).tolist() == oracles.mask_piece_owner(psi, theta).tolist()
 
 
 def test_build_psi_radial_is_identity():

@@ -296,15 +296,11 @@ def test_lip_half_norm_values(d_sqrt, d_const):
 
 @pytest.mark.parametrize("m", [64, 1024])
 def test_wp_cross_condition_matches_three_products(w_sqrt_256, m):
-    # one product per level, the alpha cells summed from kernel slices
     w = w_sqrt_256
     _, log_chi_deriv = _conjugated_welding(w)
-    three = [oracles.three_product_wp_level(log_chi_deriv, m, mm) for mm in (m, 2 * m, 4 * m)]
-    for include in (False, True):
-        got = wp_cross_condition(w, m=m, include_alpha_cells=include, strict=False)
-        want = tuple(total if include else total - alpha for total, alpha in three)
-        assert got["levels"] == pytest.approx(want, rel=1e-14)
-        assert got["alpha_cell_mass"] == pytest.approx(three[-1][1], rel=1e-14)
+    want = tuple(oracles.three_product_wp_level(log_chi_deriv, mm) for mm in (m, 2 * m, 4 * m))
+    got = wp_cross_condition(w, m=m, strict=False)
+    assert got["levels"] == pytest.approx(want, rel=1e-14)
 
 
 def test_lip_half_norm_blocks_equal_the_gap_loop(d_sqrt):
@@ -318,12 +314,39 @@ def test_wp_cross_condition_radial(w_const_256):
     d = wp_cross_condition(w_const_256, m=64)
     assert d["value"] < 1e-6
     assert d["converged"]
-    assert d["alpha_cell_mass"] < 1e-6
-    assert not d["alpha_cells_included"]
     assert d["base_level"] == 64
-    incl = wp_cross_condition(w_const_256, m=64, include_alpha_cells=True)
-    assert incl["alpha_cells_included"]
-    assert incl["value"] < 1e-6
+
+
+def test_wp_levels_agree_on_the_exact_log_derivative(monkeypatch):
+    # sigma = c t with the closed-form ln phi' at the welding's nodes: the start
+    # angles u+ = theta_plus and u- = -theta_minus leave at the rates
+    # cot(u/2) + c and cot(u/2) - c, and the base pair reads exactly 0.  Every
+    # cell summed, the integrand does not depend on the level
+    c = 0.4
+    w = extract_welding(DrivingTerm([0.0, 1.0], [0.0, c]), 256)
+    up, um = w.theta_plus[1:], -w.theta_minus[1:]
+    exact = np.concatenate(([0.0], np.log((1.0 / np.tan(0.5 * um) - c)
+                                          / (1.0 / np.tan(0.5 * up) + c))))
+    monkeypatch.setattr("slitweld.welding.welding_log_derivative",
+                        lambda _: ArcFunction(w.arc_plus, w.theta_plus.copy(), exact))
+    coarse, fine = (wp_cross_condition(w, m=m)["value"] for m in (256, 1024))
+    assert fine == pytest.approx(coarse, rel=1e-4)
+
+
+@pytest.mark.parametrize("func, count", [("wp", 0), ("wp", 1), ("wp", 7), ("vmo", 0),
+                                         ("vmo", 4), ("vmo", 7), ("qs", 0)])
+def test_counts_are_checked_before_sampling(w_const_256, monkeypatch, func, count):
+    def never(*_):
+        raise AssertionError("sampled before the count was checked")
+
+    monkeypatch.setattr("slitweld.welding.welding_log_derivative", never)
+    hom = welding_as_homeomorphism(w_const_256)
+    hom.eval_offset = never
+    calls = {"wp": lambda: wp_cross_condition(w_const_256, m=count),
+             "vmo": lambda: vmo_curve(never, samples=count),
+             "qs": lambda: qs_constant(hom, positions=count)}
+    with pytest.raises(ValidationError):
+        calls[func]()
 
 
 def test_wp_doubling_increment_follows_divergence_law(w_sqrt_256):
@@ -371,13 +394,9 @@ def test_blocked_kernel_matches_dense_reference(rng, pair, m):
 def test_wp_cross_condition_matches_dense_reference(w_sqrt_256, m):
     w = w_sqrt_256
     _, log_chi_deriv = _conjugated_welding(w)
-    dense = [oracles.dense_wp_level(log_chi_deriv, m, mm) for mm in (m, 2 * m, 4 * m)]
-    assert dense[-1][1] > 0.0
-    for include in (False, True):
-        got = wp_cross_condition(w, m=m, include_alpha_cells=include)
-        want = tuple(total if include else total - alpha for total, alpha in dense)
-        assert got["levels"] == pytest.approx(want, rel=1e-12)
-        assert got["alpha_cell_mass"] == pytest.approx(dense[-1][1], rel=1e-12)
+    want = tuple(oracles.dense_wp_level(log_chi_deriv, mm) for mm in (m, 2 * m, 4 * m))
+    got = wp_cross_condition(w, m=m)
+    assert got["levels"] == pytest.approx(want, rel=1e-12)
 
 
 # the FFT kernel at levels up to 4096 against the O(m)-memory blocked sum: the
