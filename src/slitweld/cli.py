@@ -272,7 +272,7 @@ def _cmd_construct(args, outputs: list) -> int:
     # midpoint grid: stays clear of z = -1 where the slit chart degenerates
     th = -math.pi + (np.arange(nb) + 0.5) * (2.0 * math.pi / nb)
 
-    j_dec = psi_j_decomposition(psi, m=args.quad_level, agree_tol=args.agree_tol)
+    j_dec = psi_j_decomposition(w, m=args.quad_level, agree_tol=args.agree_tol)
 
     h_bnd = built["h"](np.exp(1j * th))
 
@@ -347,7 +347,8 @@ def _cmd_plot(args, outputs: list) -> int:
     names, cols = load_csv_columns(args.input)
     outputs.append(args.out)
     if names[:3] == ["t", "x", "y"]:
-        series = [LineSeries(cols[1], cols[2], "trace")]
+        # from the slit's base point gamma(0) = 1, so one tip is a segment too
+        series = [LineSeries(np.insert(cols[1], 0, 1.0), np.insert(cols[2], 0, 0.0), "trace")]
         save_svg(args.out, series, title="slit trace", xlabel="x", ylabel="y",
                  equal_aspect=True)
     elif names == ["t", "theta_plus", "theta_minus"]:

@@ -170,28 +170,34 @@ def build_psi(w: Welding) -> PiecewiseCircleMap:
     return PiecewiseCircleMap(pieces)
 
 
-def psi_j_decomposition(psi: PiecewiseCircleMap, m: int = 256,
-                        agree_tol: float = 0.02) -> dict:
-    """Raw chordal energies of log |psi'| over the three arcs and cross pairs.
+def psi_j_decomposition(w: Welding, m: int = 256, agree_tol: float = 0.02) -> dict:
+    """Raw chordal energies of log |psi'| over the arcs of build_psi(w) and their pairs.
 
-    Weighted as J1 + J2 + J3 + 2 (J4 + J5 + J6), the terms tile the full
-    circle-squared energy.
+    The arcs are A, the upper half (psi is the identity there), B from -i to 1
+    and C from -1 to -i.  psi commutes with the mirror theta -> pi - theta,
+    which maps A onto itself and swaps B and C, so J1 (A x A) is 0, J3 (C x C)
+    is J2 (B x B) and J6 (C x A) is J5 (B x A); only J2, J4 (C x B) and J5 are
+    summed.  Weighted as J1 + J2 + J3 + 2 (J4 + J5 + J6), the terms tile the
+    full circle-squared energy.
     """
     if m < 8:
         raise ValidationError("base quadrature level must be at least 8")
-    arcs = {"A": arc(0.0, math.pi), "B": arc(-_HALF_PI, 0.0), "C": arc(math.pi, -_HALF_PI)}
-    pairs = {"J1": "AA", "J2": "BB", "J3": "CC", "J4": "CB", "J5": "BA", "J6": "CA"}
-    levels = {name: [] for name in pairs}
+    _, chi_ld = _conjugated_welding(w)
+    A, B, C = arc(0.0, math.pi), arc(-_HALF_PI, 0.0), arc(math.pi, -_HALF_PI)
+    quarter = arc(0.0, _HALF_PI)
+    levels = {"J2": [], "J4": [], "J5": []}
     for mm in (m, 2 * m, 4 * m):
-        # one sampling per arc and level, shared by every pair that uses the arc
-        u = {k: psi.log_deriv_angle(_midpoints(a, mm)[0]) for k, a in arcs.items()}
-        for name, (i, j) in pairs.items():
-            levels[name].append(_level(arcs[i], u[i], arcs[j], u[j], i == j))
-    # checked in the order J1 .. J6: the first pair whose levels disagree raises
-    out = {name: _richardson(tuple(lv), agree_tol, True)[0] for name, lv in levels.items()}
-    out["weighted_sum"] = (out["J1"] + out["J2"] + out["J3"]
-                           + 2.0 * (out["J4"] + out["J5"] + out["J6"]))
-    return out
+        # log |psi'| at C's midpoints is log |chi'| at those of the quarter arc
+        # from 1 to i, in order; at B's it is the same samples reversed
+        u_c = chi_ld(_midpoints(quarter, mm)[0])
+        u_b = u_c[::-1]
+        levels["J2"].append(_level(B, u_b, B, u_b, True))
+        levels["J4"].append(_level(C, u_c, B, u_b, False))
+        levels["J5"].append(_level(B, u_b, A, np.zeros(mm), False))
+    # checked in the order J2, J4, J5: the first pair whose levels disagree raises
+    j2, j4, j5 = (_richardson(tuple(lv), agree_tol, True)[0] for lv in levels.values())
+    return {"J1": 0.0, "J2": j2, "J3": j2, "J4": j4, "J5": j5, "J6": j5,
+            "weighted_sum": 2.0 * (j2 + j4) + 4.0 * j5}
 
 
 def _check_self_map(h: ArcHomeomorphism, a: OrientedArc, name: str, arc_name: str,

@@ -7,20 +7,21 @@ integral and raises AccuracyError in strict mode.
 
 Every level of every such integral is one call of _chordal_sum.  On two grids
 of one step h the kernel 1 / (4 sin^2(((i - j) h + off) / 2)) depends only on
-i - j, so the sum of (u1_i - u2_j)^2 K_ij is u1^2 . K1 + 1 . K u2^2
-- 2 u1 . K u2: three Toeplitz products, taken together by one circulant
-embedding and FFT (Strang 1986; Chan and Ng 1996) in O(m log m) time and O(m)
-memory.  Against a partner u2 that is identically 0 (the wp cross integral,
-and log |psi'| on the arc where psi is the identity) the sum is u1^2 . K1, one
-product.  When one arc's step is r times the other's, the finer grid is split
-into its r interleaved phases, each a product on the coarser step, so every
-level sums exactly the midpoint cells of the dense formula.  With a nonzero
-partner, both functions are first centered on one shared constant: the
-differences u1_i - u2_j do not change, and the squared terms no longer dwarf
-the cross term they cancel against.  What cancellation is left is rounding
-error that grows about as m times the machine epsilon: against a direct sum
-of the same cells, about 1e-12 relative at 4096 points per arc and 4e-12 at
-32768.
+i - j, so the sum of (u1_i - u2_j)^2 K_ij is u1^2 . K1 + u2^2 . K^T 1
+- 2 u1 . K u2.  The row sums K1 and the column sums K^T 1 are runs of the
+kernel array, taken from its compensated prefix sums (_prefix_sums); K u2 is
+one Toeplitz product, by circulant embedding and FFT (Strang 1986; Chan and
+Ng 1996), in O(m log m) time and O(m) memory.  Against a partner u2 that is
+identically 0 (the wp cross integral, and log |psi'| on the arc where psi is
+the identity) the sum is u1^2 . K1 and takes no product.  When one arc's step
+is r times the other's, the finer grid is split into its r interleaved
+phases, each summed on the coarser step, so every level sums exactly the
+midpoint cells of the dense formula.  With a nonzero partner, both functions
+are first centered on one shared constant: the differences u1_i - u2_j do not
+change, and the squared terms no longer dwarf the cross term they cancel
+against.  What cancellation is left is rounding error that grows about as m
+times the machine epsilon: against a direct sum of the same cells, about
+1e-12 relative at 4096 points per arc and 4e-12 at 32768.
 
 vmo_curve's mean oscillation of a window is the mean of |u - m| over its
 samples, m their mean.  The samples are cut once into maximal monotone runs.
@@ -122,12 +123,12 @@ def _kernel(a1: float, M: int, a2: float, N: int, h: float, same: bool):
     return kernel
 
 
-def _toeplitz_rows(kernel, rows, M: int, N: int):
-    """Each row of length N times the kernel's M x N Toeplitz matrix, by FFT."""
+def _toeplitz_rows(kernel, row, M: int, N: int):
+    """The kernel's M x N Toeplitz matrix times a vector of length N, by FFT."""
     from numpy.fft import irfft, rfft   # not imported with numpy; costs about 1.7 ms
 
     size = 1 << (M + N - 2).bit_length()   # a power of two >= M + N - 1
-    return irfft(rfft(rows, size) * rfft(kernel, size), size)[..., N - 1:N - 1 + M]
+    return irfft(rfft(row, size) * rfft(kernel, size), size)[N - 1:N - 1 + M]
 
 
 def _chordal_sum(a1: float, u1, a2: float, u2, h: float, same: bool) -> float:
@@ -137,25 +138,17 @@ def _chordal_sum(a1: float, u1, a2: float, u2, h: float, same: bool) -> float:
     one grid and the diagonal cells, the only colliding midpoints, are dropped.
     """
     M, N = u1.size, u2.size
+    kernel = _kernel(a1, M, a2, N, h, same)
+    prefix, carry = _prefix_sums(kernel)
+    rows = _segment_sums(prefix, carry, slice(0, M), slice(N, N + M))   # K 1
     if not u2.any():
-        return 0.0 if same else _zero_partner_sum(a1, u1, a2, N, h)
+        return float(np.dot(u1 * u1, rows))
+    cols = _segment_sums(prefix, carry, slice(0, N), slice(M, M + N))[::-1]   # K^T 1
     shift = 0.5 * (u1.mean() + u2.mean())
     u1 = u1 - shift
     u2 = u2 - shift
-    rows = np.stack((np.ones(N), u2 * u2, u2))
-    k1, ku2sq, ku2 = _toeplitz_rows(_kernel(a1, M, a2, N, h, same), rows, M, N)
-    return float(np.dot(u1 * u1, k1) + ku2sq.sum() - 2.0 * np.dot(u1, ku2))
-
-
-def _zero_partner_sum(a1: float, u1, a2: float, N: int, h: float) -> float:
-    """_chordal_sum of u1 against u2 = 0 on N points of a distinct grid.
-
-    The sum is u1^2 . K 1: one Toeplitz product, and with no cross term to
-    cancel against, no centering shift.
-    """
-    M = u1.size
-    k1 = _toeplitz_rows(_kernel(a1, M, a2, N, h, False), np.ones(N), M, N)
-    return float(np.dot(u1 * u1, k1))
+    ku2 = _toeplitz_rows(kernel, u2, M, N)
+    return float(np.dot(u1 * u1, rows) + np.dot(u2 * u2, cols) - 2.0 * np.dot(u1, ku2))
 
 
 def _level(I, u1, J, u2, same) -> float:

@@ -40,6 +40,18 @@ def w_const_256(d_const):
 
 
 @pytest.fixture(scope="session")
+def w_linear():
+    """Welding of the linear driver sigma(t) = 0.4 t at 256 samples.
+
+    A smooth small-norm driver keeps log |psi'| of its circle extension
+    continuous at the welding fixed point, so the circle-squared energy is
+    finite and the tiling identity is testable; square-root drivers break the
+    one-sided derivative symmetry there (see the stability gate instead).
+    """
+    return extract_welding(DrivingTerm([0.0, 1.0], [0.0, 0.4]), 256)
+
+
+@pytest.fixture(scope="session")
 def w_sqrt_256(d_sqrt):
     return extract_welding(d_sqrt, 256)
 

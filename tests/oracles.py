@@ -241,16 +241,44 @@ def _dense_mean_oscillation(vals, wlen: int, periodic: bool) -> float:
 def three_product_wp_level(log_chi_deriv, mm: int) -> float:
     """One mm-point level of the wp cross integral by one direct FFT product.
 
-    The product regularity._zero_partner_sum takes on the two quarter arcs'
-    own grids, without the grid bookkeeping of regularity._level.
+    The kernel's row sums K 1, taken as the product of its Toeplitz matrix
+    with a row of ones on the two quarter arcs' own grids, without the grid
+    bookkeeping of regularity._level or the prefix sums of _chordal_sum.
     """
-    from slitweld.regularity import _zero_partner_sum
+    from slitweld.regularity import _kernel, _toeplitz_rows
 
     h = 0.5 * math.pi / mm
     th1 = (np.arange(mm) + 0.5) * h
     th2 = -0.5 * math.pi + (np.arange(mm) + 0.5) * h
     u = np.asarray(log_chi_deriv(th1), dtype=float)
-    return _zero_partner_sum(th1[0], u, th2[0], mm, h) * h * h
+    k1 = _toeplitz_rows(_kernel(th1[0], mm, th2[0], mm, h, False), np.ones(mm), mm, mm)
+    return float(np.dot(u * u, k1)) * h * h
+
+
+# ------------------------------------------------ psi's six arc-pair energies
+
+def six_sum_j_decomposition(psi, m: int, agree_tol: float) -> dict:
+    """constructions.psi_j_decomposition summed pair by pair on psi itself.
+
+    log |psi'| is sampled on each of the three arcs and all six pairs are
+    summed, with no use of psi's symmetry: the reference for the three sums
+    the library takes from the welding.
+    """
+    from slitweld.circle import arc
+    from slitweld.regularity import _level, _midpoints, _richardson
+
+    arcs = {"A": arc(0.0, math.pi), "B": arc(-0.5 * math.pi, 0.0),
+            "C": arc(math.pi, -0.5 * math.pi)}
+    pairs = {"J1": "AA", "J2": "BB", "J3": "CC", "J4": "CB", "J5": "BA", "J6": "CA"}
+    levels = {name: [] for name in pairs}
+    for mm in (m, 2 * m, 4 * m):
+        u = {k: psi.log_deriv_angle(_midpoints(a, mm)[0]) for k, a in arcs.items()}
+        for name, (i, j) in pairs.items():
+            levels[name].append(_level(arcs[i], u[i], arcs[j], u[j], i == j))
+    out = {name: _richardson(tuple(lv), agree_tol, True)[0] for name, lv in levels.items()}
+    out["weighted_sum"] = (out["J1"] + out["J2"] + out["J3"]
+                           + 2.0 * (out["J4"] + out["J5"] + out["J6"]))
+    return out
 
 
 # ------------------------------------------------- harmonic extension, Horner

@@ -59,19 +59,6 @@ def radial_run(d_const):
     return {"welding": w, "tip": tip, "seconds": time.perf_counter() - t0}
 
 
-@pytest.fixture(scope="module")
-def psi_linear():
-    """Circle extension of the welding of the linear driver sigma(t) = 0.4 t.
-
-    A smooth small-norm driver keeps log |psi'| continuous at the welding
-    fixed point, so the circle-squared energy is finite and the tiling
-    identity is testable; square-root drivers break the one-sided derivative
-    symmetry there (see the stability gate instead).
-    """
-    w = extract_welding(DrivingTerm([0.0, 1.0], [0.0, 0.4]), 256)
-    return welding_construction(w)["psi"]
-
-
 def test_01_radial_slit_end_to_end(radial_run, criterion):
     with criterion(1, "radial slit trace, endpoints, conjugation welding"):
         w = radial_run["welding"]
@@ -243,13 +230,13 @@ def test_10_dilatation_integral(criterion):
             assert abs(pulled - want) < 0.02 * want
 
 
-def test_11_j_decomposition_tiles(psi_linear, criterion):
+def test_11_j_decomposition_tiles(w_linear, criterion):
     with criterion(11, "arc energies tile the full-circle energy"):
-        u = psi_linear.log_deriv_angle
+        u = welding_construction(w_linear)["psi"].log_deriv_angle
         for m in (64, 128):
             # gate is the tiling identity; junction cells refine slowly, so the
             # internal level agreement is left loose
-            parts = psi_j_decomposition(psi_linear, m=m, agree_tol=0.2)
+            parts = psi_j_decomposition(w_linear, m=m, agree_tol=0.2)
             assert parts["J1"] == 0.0
             for key in ("J2", "J3", "J4", "J5", "J6"):
                 assert parts[key] >= 0.0

@@ -305,6 +305,17 @@ def test_plot_variants(workdir):
     assert main(["plot", "--input", str(generic), "--out", out]) == 0
 
 
+def test_plot_draws_a_one_tip_trace_from_the_base_point(tmp_path):
+    driver = tmp_path / "linear.json"
+    driver.write_text(json.dumps({"T": 1.0, "grid": [0.0, 1.0], "sigma": [0.0, 0.4]}))
+    trace, out = str(tmp_path / "one.csv"), str(tmp_path / "one.svg")
+    assert main(["trace", "--driver", str(driver), "--out", trace, "--count", "1"]) == 0
+    assert main(["plot", "--input", trace, "--out", out]) == 0
+    (line,) = ET.fromstring(Path(out).read_text()).findall(
+        "{http://www.w3.org/2000/svg}polyline")
+    assert len(line.get("points").split()) == 2   # gamma(0) = 1, then the tip
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     assert capsys.readouterr().out.splitlines() == [

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from slitweld import constructions
 from slitweld.arcfun import ArcHomeomorphism
 from slitweld.circle import TWO_PI, CirclePoint, MobiusCircleMap, arc
 from slitweld.constructions import (
@@ -29,7 +30,6 @@ from slitweld.constructions import (
     welding_construction,
 )
 from slitweld.errors import ValidationError
-from slitweld.regularity import h_half_seminorm_detail
 from slitweld.welding import radial_slit_welding
 
 T_SLIT_LOG2 = 3.0 - 2.0 * math.sqrt(2.0)
@@ -137,24 +137,32 @@ def test_build_psi_radial_is_identity():
     assert np.max(np.abs(psi.log_deriv_angle(th))) < 1e-9
 
 
-def test_psi_j_decomposition_tiles_full_energy():
-    psi = _smooth_circle_map()
-    parts = psi_j_decomposition(psi, m=64)
-    for key in ("J1", "J2", "J3", "J4", "J5", "J6"):
-        assert parts[key] >= 0.0
-    full = h_half_seminorm_detail(lambda th: np.log(1.0 + 0.3 * np.cos(th)),
-                                  normalization="raw", m=64)["value"]
-    assert abs(parts["weighted_sum"] - full) < 0.02 * full
+@pytest.mark.parametrize("name, m", [("w_sqrt_256", 64), ("w_linear", 128),
+                                     ("w_linear", 1024)])
+def test_psi_j_decomposition_matches_the_six_sums(request, name, m):
+    w = request.getfixturevalue(name)
+    got = psi_j_decomposition(w, m=m, agree_tol=0.2)
+    want = oracles.six_sum_j_decomposition(build_psi(w), m, 0.2)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert got["J1"] == 0.0
+    assert got["J3"] == got["J2"]
+    assert got["J6"] == got["J5"]
 
 
-def test_psi_j_decomposition_samples_each_arc_once_per_level():
-    psi = _smooth_circle_map()
+def test_psi_j_decomposition_samples_each_arc_once_per_level(w_sqrt_256, monkeypatch):
     calls = []
-    log_deriv = psi.log_deriv_angle
-    psi.log_deriv_angle = lambda th: calls.append(th.size) or log_deriv(th)
-    psi_j_decomposition(psi, m=16)
-    # arcs A, B and C at the levels 16, 32 and 64
-    assert sorted(calls) == [16] * 3 + [32] * 3 + [64] * 3
+    conjugated = constructions._conjugated_welding
+
+    def counted(w):
+        chi, chi_ld = conjugated(w)
+        return chi, lambda th: calls.append(th.size) or chi_ld(th)
+
+    monkeypatch.setattr(constructions, "_conjugated_welding", counted)
+    psi_j_decomposition(w_sqrt_256, m=16, agree_tol=math.inf)
+    # log |chi'| on the quarter arc from 1 to i at the levels 16, 32 and 64
+    assert calls == [16, 32, 64]
 
 
 def test_reflect_half_extension_symmetry():

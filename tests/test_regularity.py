@@ -16,6 +16,7 @@ import oracles
 import slitweld.regularity as regularity
 from slitweld.arcfun import ArcFunction
 from slitweld.circle import MobiusCircleMap, arc
+from slitweld.constructions import psi_j_decomposition
 from slitweld.errors import AccuracyError, ValidationError
 from slitweld.loewner import DrivingTerm
 from slitweld.regularity import (
@@ -301,6 +302,31 @@ def test_wp_cross_condition_matches_three_products(w_sqrt_256, m):
     want = tuple(oracles.three_product_wp_level(log_chi_deriv, mm) for mm in (m, 2 * m, 4 * m))
     got = wp_cross_condition(w, m=m, strict=False)
     assert got["levels"] == pytest.approx(want, rel=1e-14)
+
+
+def test_chordal_sums_take_one_single_row_product_per_level_and_phase(w_sqrt_256, rng,
+                                                                     monkeypatch):
+    rows = []
+    product = regularity._toeplitz_rows
+
+    def counted(kernel, row, M, N):
+        rows.append(np.shape(row))
+        return product(kernel, row, M, N)
+
+    monkeypatch.setattr(regularity, "_toeplitz_rows", counted)
+    wp_cross_condition(w_sqrt_256, m=16)   # against 0: row sums only
+    assert rows == []
+    u, _ = oracles.trig_poly(rng, 4)
+    h_half_seminorm_detail(u, m=16)
+    assert rows == [(16,), (32,), (64,)]
+    rows.clear()
+    # B's step is half A's: each level sums B's two phases against A's grid
+    h_half_seminorm_detail(u, arc(-0.5 * math.pi, 0.0), arc(0.0, math.pi), m=16, strict=False)
+    assert rows == [(16,), (16,), (32,), (32,), (64,), (64,)]
+    rows.clear()
+    # J2 and J4 at each level; J5 sums against 0
+    psi_j_decomposition(w_sqrt_256, m=16, agree_tol=math.inf)
+    assert rows == [(16,), (16,), (32,), (32,), (64,), (64,)]
 
 
 def test_lip_half_norm_blocks_equal_the_gap_loop(d_sqrt):
