@@ -22,13 +22,12 @@ from .circle import arc, canonical_angle
 from .constructions import psi_j_decomposition, welding_construction
 from .errors import (AccuracyError, ExtractionError, IntegrationError, SlitWeldError,
                      ValidationError)
-from .loewner import DrivingTerm, boundary_flow, trace_curve, upward_flow
+from .loewner import DrivingTerm, _tip_pieces, boundary_flow, trace_curve, upward_flow
 from .regularity import (h_half_seminorm, h_half_seminorm_detail, loewner_energy,
                          lip_half_norm, mr_constant, qs_constant, vmo_curve,
                          wp_cross_condition)
 from .serialize import (json_dumps, load_csv_columns, load_driver, load_welding_csv,
-                        remove_if_exists, save_profile_csv, save_trace_csv,
-                        save_welding_csv, write_text)
+                        remove_if_exists, save_trace_csv, save_welding_csv, write_text)
 from .svgplot import LineSeries, save_svg
 from .welding import (Welding, extract_welding, pair_residuals, welding_as_homeomorphism,
                       welding_log_derivative)
@@ -139,9 +138,7 @@ def _cmd_trace(args, outputs: list) -> int:
         counts={"trace_count": args.count, "profile_samples": args.profile_samples},
     )
     d = load_driver(args.driver)
-    # the tip sweep cuts each driver cell into ceil(|delta sigma|) pieces
-    _check_sweep(d, "trace_count", args.count,
-                 int(np.maximum(1.0, np.ceil(np.abs(np.diff(d.sigma)))).sum()))
+    _check_sweep(d, "trace_count", args.count, int(_tip_pieces(d).sum()))
     if args.profile_out:
         _check_sweep(d, "profile_samples", args.profile_samples)
     outputs.append(args.out)
@@ -150,10 +147,7 @@ def _cmd_trace(args, outputs: list) -> int:
                    [s.residual for s in samples])
     if args.profile_out:
         outputs.append(args.profile_out)
-        n = args.profile_samples
-        w = extract_welding(d, n)
-        save_profile_csv(args.profile_out, np.concatenate([w.theta_minus[1:], w.theta_plus[1:]]),
-                         np.tile(w.times[1:], 2), ["minus"] * n + ["plus"] * n)
+        save_welding_csv(args.profile_out, extract_welding(d, args.profile_samples))
     print(f"trace: {len(samples)} samples -> {args.out}")
     return 0
 
@@ -356,11 +350,6 @@ def _cmd_plot(args, outputs: list) -> int:
                   LineSeries(cols[0], cols[2], "theta_minus")]
         save_svg(args.out, series, title="welding pairing", xlabel="t",
                  ylabel="angle")
-    elif names[:2] == ["theta", "tau"]:
-        order = np.argsort(cols[0])
-        series = [LineSeries(cols[0][order], cols[1][order], "tau")]
-        save_svg(args.out, series, title="hitting profile", xlabel="theta",
-                 ylabel="tau")
     else:
         x = cols[0]
         series = [LineSeries(x, c, n) for n, c in zip(names[1:], cols[1:])

@@ -195,7 +195,8 @@ def psi_j_decomposition(w: Welding, m: int = 256, agree_tol: float = 0.02) -> di
         levels["J4"].append(_level(C, u_c, B, u_b, False))
         levels["J5"].append(_level(B, u_b, A, np.zeros(mm), False))
     # checked in the order J2, J4, J5: the first pair whose levels disagree raises
-    j2, j4, j5 = (_richardson(tuple(lv), agree_tol, True)[0] for lv in levels.values())
+    j2, j4, j5 = (_richardson(tuple(lv), agree_tol, True, f"psi's {name}")[0]
+                  for name, lv in levels.items())
     return {"J1": 0.0, "J2": j2, "J3": j2, "J4": j4, "J5": j5, "J6": j5,
             "weighted_sum": 2.0 * (j2 + j4) + 4.0 * j5}
 
@@ -364,7 +365,7 @@ def poincare_l2_integral(mu: BeltramiField, conf: DiskMapEvaluator | None = None
     value = 2.0 * q2 - q1
     agreement = abs(q2 - q1) / max(abs(value), 1e-12)
     if strict and agreement > _POINCARE_AGREE_TOL:
-        raise AccuracyError(q1, q2)
+        raise AccuracyError(q1, q2, "the Poincare L2 mass")
     return value
 
 

@@ -37,15 +37,14 @@ class TraceError(IntegrationError):
 
 
 class AccuracyError(SlitWeldError):
-    """Quadrature refinement levels disagree; carries both estimates."""
+    """Quadrature refinement levels of the named integral disagree; carries both estimates."""
 
-    def __init__(self, coarse: float, fine: float, message: str | None = None):
+    def __init__(self, coarse: float, fine: float, integral: str = "the integral"):
         self.coarse = coarse
         self.fine = fine
         super().__init__(
-            message
-            or f"quadrature levels disagree beyond tolerance: {coarse:.9g} vs {fine:.9g}"
-        )
+            f"quadrature levels of {integral} disagree beyond tolerance: {coarse:.9g} vs "
+            f"{fine:.9g}; not resolved at this quadrature level and welding resolution")
 
 
 class ExtractionError(SlitWeldError):

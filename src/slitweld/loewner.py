@@ -652,6 +652,13 @@ def _tip_map(ell, err, dt, young, youth, a, r2):
     return x, err * np.abs(r2 * em0 / (h02 * df)) + est + _ROUNDING * rounding
 
 
+def _tip_pieces(d: DrivingTerm):
+    """Pieces the tip sweep cuts each driver cell into: ceil(|delta sigma|), at
+    least 1, so |c| Delta <= 1 on each.  Floats, so that the work bound of
+    cli sums them before a steep cell could overflow an integer."""
+    return np.maximum(1.0, np.ceil(np.abs(np.diff(d.sigma))))
+
+
 def _trace_samples(d: DrivingTerm, times):
     """Trace samples at the given times in (0, T], in their order.
 
@@ -660,9 +667,8 @@ def _trace_samples(d: DrivingTerm, times):
     a p)/p, a = 1 - ic, which separates: the cell adds (1 + c^2) Delta to
     G(p) = -a ln(1 - p) + 2 ln(1 - a p/2).  So one sweep of the cells from
     the bottom up moves every tip alive in a cell by one vector Newton solve
-    (_tip_map).  A cell is cut into ceil(|delta sigma|) pieces, so |c| Delta
-    <= 1 on each, and a tip is young while under kappa = _TIP_BIRTH / (1 +
-    |c|) old at a piece's start.  The residual bounds the tip's error, with
+    (_tip_map).  A cell is cut into its _tip_pieces, and a tip is young
+    while under kappa = _TIP_BIRTH / (1 + |c|) old at a piece's start.  The residual bounds the tip's error, with
     the rounding of Im L counted once.  A tip outside the closed disk, Re L >
     0, is a wrong root and raises DiagnosticsError.
     """
@@ -672,7 +678,7 @@ def _trace_samples(d: DrivingTerm, times):
     ell, err = np.zeros(s0.size, dtype=complex), np.zeros(s0.size)
     # every piece of the cells that ends above the first birth, with the
     # tips alive and young on it
-    per_cell = np.maximum(1, np.ceil(np.abs(np.diff(d.sigma))).astype(int))
+    per_cell = _tip_pieces(d).astype(int)
     cell = np.repeat(np.arange(d.grid.size - 1), per_cell)
     j = np.arange(cell.size) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
     n, g0, g1 = per_cell[cell], d.grid[cell], d.grid[cell + 1]

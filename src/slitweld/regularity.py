@@ -177,13 +177,14 @@ def _check_commensurate(I: OrientedArc | None, J: OrientedArc | None):
         raise ValidationError("the two arcs' lengths must be integer multiples of each other")
 
 
-def _richardson(levels, agree_tol: float, strict: bool):
-    """Extrapolated value, levels, extrapolants and agreement of three dyadic levels."""
+def _richardson(levels, agree_tol: float, strict: bool, integral: str):
+    """Extrapolated value, levels, extrapolants and agreement of three dyadic
+    levels of the named integral."""
     r12 = 2.0 * levels[1] - levels[0]
     r23 = 2.0 * levels[2] - levels[1]
     agreement = abs(r23 - r12) / max(abs(r23), _AGREE_FLOOR)
     if strict and agreement > agree_tol:
-        raise AccuracyError(r12, r23)
+        raise AccuracyError(r12, r23, integral)
     return r23, levels, (r12, r23), agreement
 
 
@@ -212,7 +213,7 @@ def h_half_seminorm_detail(u, I: OrientedArc | None = None, J: OrientedArc | Non
         return _level(I, u1, J, u1 if same else f(_midpoints(J, mm)[0]), same)
 
     value, levels, extrap, agreement = _richardson((q(m), q(2 * m), q(4 * m)),
-                                                   agree_tol, strict)
+                                                   agree_tol, strict, "the seminorm")
     scale = 1.0 / (TWO_PI * TWO_PI) if normalization == "two_pi" else 1.0
     return {
         "value": value * scale,
@@ -259,7 +260,7 @@ def wp_cross_condition(w: Welding, m: int = 256, agree_tol: float = 0.02,
         return _level(A1, log_chi_deriv(_midpoints(A1, mm)[0]), A2, np.zeros(mm), False)
 
     value, levels, extrap, agreement = _richardson((q(m), q(2 * m), q(4 * m)),
-                                                   agree_tol, strict)
+                                                   agree_tol, strict, "the wp cross integral")
     return {
         "value": value,
         "levels": levels,

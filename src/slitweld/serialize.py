@@ -1,7 +1,8 @@
 """Deterministic JSON and CSV readers/writers for drivers, weldings, and reports.
 
-All floats are emitted with 17 significant digits so outputs round-trip
-losslessly and identical inputs produce byte-identical files.
+The CSVs are weldings, which weld and trace --profile-out write, and traces.
+Every float takes 17 significant digits, a row or list of them by one template
+(_floats), so outputs round-trip losslessly and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "save_welding_csv",
     "load_welding_csv",
     "save_trace_csv",
-    "save_profile_csv",
     "load_csv_columns",
     "write_text",
     "remove_if_exists",
@@ -31,7 +31,6 @@ __all__ = [
 
 WELDING_HEADER = "t,theta_plus,theta_minus"
 TRACE_HEADER = "t,x,y,residual"
-PROFILE_HEADER = "theta,tau,side"
 _INDENT = 2   # spaces per JSON nesting level
 
 
@@ -41,6 +40,14 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return "%.17g" % x
+
+
+def _floats(values, sep: str) -> str:
+    """The floats joined by sep, by one template; a nan or an inf takes format_float."""
+    text = sep.join(("%.17g",) * len(values)) % tuple(values)
+    if "n" in text:   # "nan" or "inf": spelled as JSON spells them
+        return sep.join(format_float(v) for v in values)
+    return text
 
 
 def _json_value(obj, level: int) -> str:
@@ -65,10 +72,8 @@ def _json_value(obj, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(v) is float for v in obj):   # one template for a row of floats
-            text = (",\n" + pad_in).join(("%.17g",) * len(obj)) % tuple(obj)
-            if "n" not in text:   # else a nan or an inf needs format_float
-                return "[\n" + pad_in + text + "\n" + pad + "]"
+        if all(type(v) is float for v in obj):
+            return "[\n" + pad_in + _floats(obj, ",\n" + pad_in) + "\n" + pad + "]"
         items = [_json_value(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
@@ -152,11 +157,14 @@ def load_driver(path: str) -> DrivingTerm:
     return d
 
 
+def _save_csv(path: str, header: str, columns):
+    """Write the header, then a row of floats per index of the equal-length columns."""
+    rows = np.column_stack(columns).tolist()
+    write_text(path, "\n".join([header] + [_floats(row, ",") for row in rows]) + "\n")
+
+
 def save_welding_csv(path: str, w: Welding):
-    lines = [WELDING_HEADER]
-    for t, tp, tm in zip(w.times, w.theta_plus, w.theta_minus):
-        lines.append(f"{format_float(t)},{format_float(tp)},{format_float(tm)}")
-    write_text(path, "\n".join(lines) + "\n")
+    _save_csv(path, WELDING_HEADER, (w.times, w.theta_plus, w.theta_minus))
 
 
 def load_welding_csv(path: str) -> Welding:
@@ -183,17 +191,7 @@ def load_welding_csv(path: str) -> Welding:
 
 
 def save_trace_csv(path: str, times, points, residuals):
-    lines = [TRACE_HEADER]
-    for t, z, r in zip(times, points, residuals):
-        lines.append(",".join(format_float(v) for v in (t, z.real, z.imag, r)))
-    write_text(path, "\n".join(lines) + "\n")
-
-
-def save_profile_csv(path: str, angles, taus, sides):
-    lines = [PROFILE_HEADER]
-    for th, tau, side in zip(angles, taus, sides):
-        lines.append(f"{format_float(th)},{format_float(tau)},{side}")
-    write_text(path, "\n".join(lines) + "\n")
+    _save_csv(path, TRACE_HEADER, (times, np.real(points), np.imag(points), residuals))
 
 
 def load_csv_columns(path: str):

@@ -238,23 +238,6 @@ def _dense_mean_oscillation(vals, wlen: int, periodic: bool) -> float:
     return float(osc.max())
 
 
-def three_product_wp_level(log_chi_deriv, mm: int) -> float:
-    """One mm-point level of the wp cross integral by one direct FFT product.
-
-    The kernel's row sums K 1, taken as the product of its Toeplitz matrix
-    with a row of ones on the two quarter arcs' own grids, without the grid
-    bookkeeping of regularity._level or the prefix sums of _chordal_sum.
-    """
-    from slitweld.regularity import _kernel, _toeplitz_rows
-
-    h = 0.5 * math.pi / mm
-    th1 = (np.arange(mm) + 0.5) * h
-    th2 = -0.5 * math.pi + (np.arange(mm) + 0.5) * h
-    u = np.asarray(log_chi_deriv(th1), dtype=float)
-    k1 = _toeplitz_rows(_kernel(th1[0], mm, th2[0], mm, h, False), np.ones(mm), mm, mm)
-    return float(np.dot(u * u, k1)) * h * h
-
-
 # ------------------------------------------------ psi's six arc-pair energies
 
 def six_sum_j_decomposition(psi, m: int, agree_tol: float) -> dict:
@@ -275,7 +258,8 @@ def six_sum_j_decomposition(psi, m: int, agree_tol: float) -> dict:
         u = {k: psi.log_deriv_angle(_midpoints(a, mm)[0]) for k, a in arcs.items()}
         for name, (i, j) in pairs.items():
             levels[name].append(_level(arcs[i], u[i], arcs[j], u[j], i == j))
-    out = {name: _richardson(tuple(lv), agree_tol, True)[0] for name, lv in levels.items()}
+    out = {name: _richardson(tuple(lv), agree_tol, True, f"psi's {name}")[0]
+           for name, lv in levels.items()}
     out["weighted_sum"] = (out["J1"] + out["J2"] + out["J3"]
                            + 2.0 * (out["J4"] + out["J5"] + out["J6"]))
     return out

@@ -106,14 +106,12 @@ def test_trace_end_to_end(workdir, driver_path):
     tip = float(lines[-1].split(",")[1])
     assert abs(tip - T_SLIT_LOG2) < 1e-4
     plines = Path(prof).read_text().splitlines()
-    assert plines[0] == "theta,tau,side"
-    sides = {ln.split(",")[2] for ln in plines[1:]}
-    assert sides == {"plus", "minus"}
+    assert plines[0] == WELDING_HEADER
+    assert len(plines) == 10   # the base pair and 8 more
 
 
 def test_profile_and_welding_share_one_sweep(tmp_path, d_sqrt):
-    # the profile's rows are the welding's pairs after the base pair, minus
-    # side first, as text, bit for bit
+    # the profile is the welding, byte for byte
     driver = tmp_path / "sqrt.json"
     driver.write_text(json.dumps({"T": d_sqrt.T, "grid": d_sqrt.grid.tolist(),
                                   "sigma": d_sqrt.sigma.tolist()}))
@@ -121,11 +119,8 @@ def test_profile_and_welding_share_one_sweep(tmp_path, d_sqrt):
     assert main(["trace", "--driver", str(driver), "--out", str(tmp_path / "trace.csv"),
                  "--count", "1", "--profile-out", str(prof), "--profile-samples", "64"]) == 0
     assert main(["weld", "--driver", str(driver), "--out", str(weld), "--samples", "64"]) == 0
-    pairs = [ln.split(",") for ln in weld.read_text().splitlines()[2:]]
-    rows = [ln.split(",") for ln in prof.read_text().splitlines()[1:]]
-    assert len(pairs) == 64
-    assert rows == ([[m, t, "minus"] for t, _, m in pairs]
-                    + [[p, t, "plus"] for t, p, _ in pairs])
+    assert len(weld.read_text().splitlines()) == 66   # header, base pair, 64 pairs
+    assert prof.read_bytes() == weld.read_bytes()
 
 
 def test_profile_samples_floor_exits_2_before_compute(tmp_path, driver_path, monkeypatch):
@@ -294,7 +289,7 @@ def test_construct_f0_is_the_horizon_flow_of_the_chain_image_of_0(tmp_path, d_sq
 def test_plot_variants(workdir):
     ns = "{http://www.w3.org/2000/svg}"
     for src, n_series in (("trace.csv", 1), ("extracted.csv", 2),
-                          ("profile.csv", 1)):
+                          ("profile.csv", 2)):
         out = str(workdir / (src + ".svg"))
         assert main(["plot", "--input", str(workdir / src), "--out", out]) == 0
         root = ET.fromstring(Path(out).read_text())
@@ -387,6 +382,28 @@ def test_accuracy_failure_removes_output(tmp_path):
                "--qs-positions", "16", "--agree-tol", "1e-12"])
     assert rc == 4
     assert not out.exists()
+
+
+def test_exit_4_names_the_integral_whose_levels_disagree(tmp_path, d_sqrt, capsys):
+    # the README quick-start verdicts: on the linear driver wp's levels
+    # disagree, on the sqrt fixture also psi's J5; the seminorm fails first
+    # under a 1e-12 demand
+    linear, sqrt = tmp_path / "linear.json", tmp_path / "sqrt.json"
+    linear.write_text(json.dumps({"T": 1.0, "grid": [0.0, 1.0], "sigma": [0.0, 0.4]}))
+    sqrt.write_text(json.dumps({"T": d_sqrt.T, "grid": d_sqrt.grid.tolist(),
+                                "sigma": d_sqrt.sigma.tolist()}))
+    for driver in (linear, sqrt):
+        assert main(["weld", "--driver", str(driver), "--out", str(driver) + ".csv"]) == 0
+    out = str(tmp_path / "out.json")
+    for driver, stage, integral, flags in (
+            (linear, "analyze", "the wp cross integral", []),
+            (linear, "analyze", "the seminorm", ["--agree-tol", "1e-12"]),
+            (sqrt, "construct", "psi's J5", [])):
+        capsys.readouterr()
+        assert main([stage, "--welding", str(driver) + ".csv", "--out", out] + flags) == 4
+        err = capsys.readouterr().err
+        assert f"quadrature levels of {integral} disagree beyond tolerance" in err
+        assert "not resolved at this quadrature level and welding resolution" in err
 
 
 def test_plot_failure_removes_output(tmp_path):

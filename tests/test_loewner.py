@@ -524,3 +524,27 @@ def test_tip_newton_passes_beyond_the_reference_drivers(nodes, passes, monkeypat
         calls[0] = 0
         trace_curve(d, count)
         assert calls[0] <= most
+
+
+@pytest.mark.parametrize("seed, passes", [(0, (760, 1131)), (1, (658, 1103))])
+def test_angle_newton_passes_beyond_the_reference_drivers(seed, passes, monkeypatch):
+    # _cell_time calls of the angle sweep over 200 steep random cells, one
+    # per cell setting its target: 2.3 to 4.7 Newton passes per cell, where
+    # test_born_flow_work_does_not_grow's graded driver takes 1.  Angles next
+    # to w* walk away from its log singularity one step at a time
+    calls = [0]
+    cell_time = loewner._cell_time
+
+    def counted(*args):
+        calls[0] += 1
+        return cell_time(*args)
+
+    monkeypatch.setattr(loewner, "_cell_time", counted)
+    d = DrivingTerm(*oracles.random_lip_half_nodes(np.random.default_rng(seed), n=200,
+                                                   const=20.0))
+    assert d.grid.size == 201
+    for times, most in zip(([d.T / 3, 2 * d.T / 3, d.T], d.T * np.arange(1, 257) / 256),
+                           passes):
+        calls[0] = 0
+        loewner._absorbed_angles(d, times)
+        assert calls[0] <= most

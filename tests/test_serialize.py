@@ -1,9 +1,10 @@
-"""File formats: driver JSON, welding/trace/profile CSV, float formatting."""
+"""File formats: driver JSON, welding/trace CSV, float formatting."""
 
 import json
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from slitweld import serialize
 
 from slitweld.errors import ValidationError
 from slitweld.serialize import (
-    PROFILE_HEADER,
     TRACE_HEADER,
     WELDING_HEADER,
     format_float,
@@ -24,7 +24,6 @@ from slitweld.serialize import (
     load_driver,
     load_welding_csv,
     remove_if_exists,
-    save_profile_csv,
     save_trace_csv,
     save_welding_csv,
     write_text,
@@ -239,7 +238,7 @@ def test_load_welding_csv_rejects_malformed(tmp_path):
         load_welding_csv(path)
 
 
-def test_trace_and_profile_csv(tmp_path):
+def test_trace_csv(tmp_path):
     tr = str(tmp_path / "trace.csv")
     save_trace_csv(tr, [0.5, 1.0], [0.3 + 0.1j, 0.2 - 0.05j], [1e-7, 2e-7])
     names, cols = load_csv_columns(tr)
@@ -247,12 +246,22 @@ def test_trace_and_profile_csv(tmp_path):
     assert np.allclose(cols[1], [0.3, 0.2])
     assert np.allclose(cols[2], [0.1, -0.05])
 
-    pr = str(tmp_path / "profile.csv")
-    save_profile_csv(pr, [0.2, -0.2], [0.01, 0.01], ["plus", "minus"])
-    names, cols = load_csv_columns(pr)
-    assert names == PROFILE_HEADER.split(",")
-    # the side column is textual, parsed as nan placeholders
-    assert np.all(np.isnan(cols[2]))
+
+def test_nan_and_inf_are_spelled_alike_in_csv_rows_and_json_lists(tmp_path):
+    # a row or list with a non-finite value falls back to format_float value
+    # by value; the finite row after it keeps the template
+    nan, inf = math.nan, math.inf
+    tr = tmp_path / "trace.csv"
+    save_trace_csv(str(tr), [0.5, 1.0], [complex(0.25, nan), 0.5 + 0.5j], [inf, 0.125])
+    assert tr.read_text() == TRACE_HEADER + "\n0.5,0.25,NaN,Infinity\n1,0.5,0.5,0.125\n"
+    # a Welding rejects non-finite angles; the writer reads only its columns
+    we = tmp_path / "welding.csv"
+    save_welding_csv(str(we), SimpleNamespace(times=np.array([0.0, 0.5]),
+                                              theta_plus=np.array([-inf, 0.25]),
+                                              theta_minus=np.array([nan, -0.25])))
+    assert we.read_text() == WELDING_HEADER + "\n0,-Infinity,NaN\n0.5,0.25,-0.25\n"
+    assert json_dumps({"row": [0.5, nan, -inf, inf]}) == (
+        '{\n  "row": [\n    0.5,\n    NaN,\n    -Infinity,\n    Infinity\n  ]\n}\n')
 
 
 def test_load_csv_columns_validation(tmp_path):
