@@ -91,19 +91,7 @@ class MobiusCircleMap:
         """Evaluate at a complex point or numpy array of points."""
         return cmath.exp(1j * self.rotation) * (z - self.pole) / (1.0 - self.pole.conjugate() * z)
 
-    def deriv_abs(self, z):
-        """|m'(z)|, valid on the closed disk."""
-        return (1.0 - abs(self.pole) ** 2) / abs(1.0 - self.pole.conjugate() * z) ** 2
-
     def apply_angle(self, theta):
         """Boundary action on angles (scalar or numpy array), canonical output."""
         return canonical_angle(np.angle(self(np.exp(1j * np.asarray(theta, dtype=float)))))
-
-    def log_deriv_angle(self, theta):
-        """log|m'| on the boundary, by angle."""
-        return np.log(self.deriv_abs(np.exp(1j * np.asarray(theta, dtype=float))))
-
-    def inverse(self) -> MobiusCircleMap:
-        phase = cmath.exp(1j * self.rotation)
-        return MobiusCircleMap(-self.rotation, -phase * self.pole)
 

@@ -3,7 +3,9 @@
 A slit grown for time T has two boundary preimage arcs meeting at 1; points
 absorbed at the same time are welded.  The welding is stored as matched lifted
 angles (theta_plus increasing from 0, theta_minus decreasing from 0) on a
-shared absorption-time grid.
+shared absorption-time grid.  The endpoint normalizer tau is affine in the
+chart x = -cot(theta/2), and the conjugated welding tau^-1 o phi o tau that
+analyze and construct sample is evaluated in that chart.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcfun import ArcFunction, ArcHomeomorphism
-from .circle import TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc, canonical_angle
+from .circle import TWO_PI, CirclePoint, MobiusCircleMap, OrientedArc
 from .errors import ExtractionError, ValidationError
 from .loewner import DrivingTerm, _absorbed_angles, slit_preimage_endpoints
 
@@ -87,27 +89,6 @@ class Welding:
         """Minus-side preimage arc, from alpha_minus to the base point 1."""
         return OrientedArc(self.alpha_minus, CirclePoint(0.0))
 
-    def apply_angle(self, theta):
-        """Partner angle(s), canonical; accepts scalars or arrays."""
-        theta = np.asarray(theta, dtype=float)
-        delta = np.mod(theta, TWO_PI)
-        tol = 1e-9
-        on_plus = delta <= self.theta_plus[-1] + tol
-        on_minus = delta - TWO_PI >= self.theta_minus[-1] - tol
-        if not np.all(on_plus | on_minus):
-            raise ValidationError("angle outside the welded arcs")
-        out = np.empty_like(delta)
-        if np.any(on_plus):
-            dp = np.clip(delta[on_plus], 0.0, self.theta_plus[-1])
-            t = np.interp(dp, self.theta_plus, self.times)
-            out[on_plus] = np.interp(t, self.times, self.theta_minus)
-        rest = ~on_plus
-        if np.any(rest):
-            dm = np.clip(delta[rest] - TWO_PI, self.theta_minus[-1], 0.0)
-            t = np.interp(-dm, -self.theta_minus, self.times)
-            out[rest] = np.interp(t, self.times, self.theta_plus)
-        return canonical_angle(out)
-
 
 def welding_log_derivative(w: Welding) -> ArcFunction:
     """log |phi'| of the welding phi on the plus arc, from matched-pair slopes.
@@ -132,18 +113,26 @@ def welding_as_homeomorphism(w: Welding) -> ArcHomeomorphism:
     return ArcHomeomorphism(w.arc_plus, w.arc_minus, w.theta_plus.copy(), images)
 
 
+def _tau_chart(alpha_minus: CirclePoint, alpha_plus: CirclePoint) -> tuple[float, float]:
+    """(a, b) of tau as x -> a x + b in the chart x = -cot(theta/2).
+
+    The chart sends 1, -i, i to infinity, 1, -1, so tau(-i) = alpha_minus and
+    tau(i) = alpha_plus give a = (x- - x+)/2 and b = (x- + x+)/2.
+    """
+    x_minus, x_plus = (-1.0 / math.tan(0.5 * p.angle) for p in (alpha_minus, alpha_plus))
+    return 0.5 * (x_minus - x_plus), 0.5 * (x_minus + x_plus)
+
+
 def build_tau(alpha_minus: CirclePoint, alpha_plus: CirclePoint) -> MobiusCircleMap:
     """Disk automorphism with tau(-i) = alpha_minus, tau(1) = 1, tau(i) = alpha_plus.
 
-    In the chart x = -cot(theta/2), which sends 1, -i, i to infinity, 1, -1,
-    tau is x -> a x + b, a = (x- - x+)/2, b = (x- + x+)/2; its pole is the
-    preimage of x = i.  Endpoints at 1, coincident or out of counterclockwise
-    order (a <= 0) are rejected, and so is a map that misses them by 1e-12.
+    tau is x -> a x + b in the chart of _tau_chart; its pole is the preimage
+    of x = i.  Endpoints at 1, coincident or out of counterclockwise order
+    (a <= 0) are rejected, and so is a map that misses them by 1e-12.
     """
     if alpha_minus.angle == 0.0 or alpha_plus.angle == 0.0:
         raise ValidationError("welded endpoints must differ from the base point 1")
-    x_minus, x_plus = (-1.0 / math.tan(0.5 * p.angle) for p in (alpha_minus, alpha_plus))
-    a, b = 0.5 * (x_minus - x_plus), 0.5 * (x_minus + x_plus)
+    a, b = _tau_chart(alpha_minus, alpha_plus)
     pole = complex(-b, 1.0 - a) / complex(-b, 1.0 + a)
     if not abs(pole) < 1.0 - 1e-13:
         raise ValidationError("endpoints do not determine a disk automorphism")
@@ -156,19 +145,36 @@ def build_tau(alpha_minus: CirclePoint, alpha_plus: CirclePoint) -> MobiusCircle
 
 
 def _conjugated_welding(w: Welding):
-    """Angle map and log-derivative of tau^-1 o phi o tau on the arc from 1 to i,
-    with tau = build_tau(w.alpha_minus, w.alpha_plus)."""
-    tau = build_tau(w.alpha_minus, w.alpha_plus)
-    tau_inv = tau.inverse()
+    """Angle map and log-derivative of chi = tau^-1 o phi o tau on the arc from
+    1 to i, with tau = build_tau(w.alpha_minus, w.alpha_plus).
+
+    Both are evaluated in tau's chart with half angles: for s = sin(theta/2),
+    c = cos(theta/2) and q = a c - b s, tau(theta) = 2 atan2(s, q) on the lifted
+    plus arc and |tau'| = a / (s^2 + q^2); tau^-1 of a welded angle m, with
+    s', c' of m/2 and q' = c' + b s', is 2 atan2(a s', q') in (-pi/2, 0] with
+    |(tau^-1)'| = a / (a^2 s'^2 + q'^2).  Half angles are 4 pi-periodic, so
+    theta is first reduced to [0, 2 pi).
+    """
+    build_tau(w.alpha_minus, w.alpha_plus)   # the endpoint checks
+    a, b = _tau_chart(w.alpha_minus, w.alpha_plus)
     phi_ld = welding_log_derivative(w)
 
+    def chart(th):
+        half = 0.5 * np.mod(np.asarray(th, dtype=float), TWO_PI)
+        s, c = np.sin(half), np.cos(half)
+        q = a * c - b * s
+        tau = 2.0 * np.arctan2(s, q)
+        m = np.interp(np.interp(tau, w.theta_plus, w.times), w.times, w.theta_minus)
+        s1, c1 = np.sin(0.5 * m), np.cos(0.5 * m)
+        return s, q, tau, a * s1, c1 + b * s1
+
     def chi(th):
-        return tau_inv.apply_angle(w.apply_angle(tau.apply_angle(th)))
+        _, _, _, as1, q1 = chart(th)
+        return 2.0 * np.arctan2(as1, q1)
 
     def chi_ld(th):
-        a = tau.apply_angle(th)
-        b = w.apply_angle(a)
-        return tau.log_deriv_angle(th) + phi_ld.eval_angle(a) + tau_inv.log_deriv_angle(b)
+        s, q, tau, as1, q1 = chart(th)
+        return np.log(a * a / ((s * s + q * q) * (as1 * as1 + q1 * q1))) + phi_ld.eval_angle(tau)
 
     return chi, chi_ld
 

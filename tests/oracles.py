@@ -197,6 +197,82 @@ def dense_wp_level(log_chi_deriv, mm: int) -> float:
     return float(np.sum(cells))
 
 
+# ------------------------------------------------------- conjugated welding
+
+def mobius_conjugated_welding(w):
+    """chi = tau^-1 o phi o tau and log |chi'| as three composed circle maps.
+
+    The reference for the library's evaluation in tau's chart: tau of
+    build_tau and its inverse act on angles through complex exponentials, and
+    the welding's partner lookup picks the plus or minus branch by angle.
+    """
+    from slitweld.circle import MobiusCircleMap, canonical_angle
+    from slitweld.welding import build_tau, welding_log_derivative
+
+    tau = build_tau(w.alpha_minus, w.alpha_plus)
+    tau_inv = MobiusCircleMap(-tau.rotation, -cmath.exp(1j * tau.rotation) * tau.pole)
+    phi_ld = welding_log_derivative(w)
+
+    def log_deriv(m, theta):
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        return np.log((1.0 - abs(m.pole) ** 2) / np.abs(1.0 - m.pole.conjugate() * z) ** 2)
+
+    def partner(theta):
+        delta = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+        on_plus = delta <= w.theta_plus[-1] + 1e-9
+        out = np.empty_like(delta)
+        dp = np.clip(delta[on_plus], 0.0, w.theta_plus[-1])
+        out[on_plus] = np.interp(np.interp(dp, w.theta_plus, w.times), w.times, w.theta_minus)
+        dm = np.clip(delta[~on_plus] - TWO_PI, w.theta_minus[-1], 0.0)
+        out[~on_plus] = np.interp(np.interp(-dm, -w.theta_minus, w.times), w.times,
+                                  w.theta_plus)
+        return canonical_angle(out)
+
+    def chi(theta):
+        return tau_inv.apply_angle(partner(tau.apply_angle(theta)))
+
+    def chi_ld(theta):
+        a = tau.apply_angle(theta)
+        return log_deriv(tau, theta) + phi_ld.eval_angle(a) + log_deriv(tau_inv, partner(a))
+
+    return chi, chi_ld
+
+
+def _interp_long(x, xp, fp):
+    """np.interp in long double: linear between nodes, clamped at the ends."""
+    xp, fp = np.asarray(xp, dtype=np.longdouble), np.asarray(fp, dtype=np.longdouble)
+    x = np.clip(x, xp[0], xp[-1])
+    i = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+    return fp[i] + (fp[i + 1] - fp[i]) * (x - xp[i]) / (xp[i + 1] - xp[i])
+
+
+def longdouble_conjugated_welding(w, theta):
+    """chi and log |chi'| at angles strictly inside the arc from 1 to i, in long double.
+
+    tau is x -> a x + b in the chart x = -cot(theta/2), from the welding's
+    double endpoints; phi and log |phi'| interpolate the welding's own nodes.
+    Cotangents are taken directly, not as half-angle pairs, so this is an
+    independent route to the same maps; returns long double arrays.
+    """
+    from slitweld.welding import welding_log_derivative
+
+    one = np.longdouble(1)
+    x_minus, x_plus = (-one / np.tan(np.longdouble(p.angle) / 2)
+                       for p in (w.alpha_minus, w.alpha_plus))
+    a, b = (x_minus - x_plus) / 2, (x_minus + x_plus) / 2
+    x = -one / np.tan(np.asarray(theta, dtype=np.longdouble) / 2)
+    xt = a * x + b
+    tau = 2 * np.arctan2(one, -xt)                   # in (0, 2 pi)
+    t = _interp_long(tau, w.theta_plus, w.times)
+    m = _interp_long(t, w.times, w.theta_minus)      # in (alpha_minus, 0)
+    xm = -one / np.tan(m / 2)
+    xc = (xm - b) / a                                # in (1, infinity)
+    chi = 2 * (np.arctan2(one, -xc) - 4 * np.arctan(one))
+    log_chi_deriv = (np.log((1 + x * x) / (1 + xt * xt)) + np.log((1 + xm * xm) / (1 + xc * xc))
+                     + _interp_long(tau, w.theta_plus, welding_log_derivative(w).values))
+    return chi, log_chi_deriv
+
+
 # ------------------------------------------------------ dense mean oscillation
 
 def dense_vmo_curve(u, samples: int = 2048) -> list:

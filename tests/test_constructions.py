@@ -30,7 +30,8 @@ from slitweld.constructions import (
     welding_construction,
 )
 from slitweld.errors import ValidationError
-from slitweld.welding import radial_slit_welding
+from slitweld.loewner import DrivingTerm
+from slitweld.welding import _conjugated_welding, extract_welding, radial_slit_welding
 
 T_SLIT_LOG2 = 3.0 - 2.0 * math.sqrt(2.0)
 
@@ -135,6 +136,17 @@ def test_build_psi_radial_is_identity():
     th = np.linspace(-math.pi, math.pi, 101, endpoint=False)
     assert np.max(np.abs(_canon(psi.apply_angle(th) - th))) < 1e-9
     assert np.max(np.abs(psi.log_deriv_angle(th))) < 1e-9
+
+
+def test_build_psi_when_the_minus_endpoint_passes_pi():
+    # sigma = -6t on [0, 1]: alpha_minus lifts to about -5.83, where
+    # oracles.mobius_conjugated_welding puts chi(pi/2) 3e-7 off -pi/2, far
+    # past psi's junction check at -i
+    w = extract_welding(DrivingTerm([0.0, 1.0], [0.0, -6.0]), 256)
+    psi = build_psi(w)
+    chi, _ = _conjugated_welding(w)
+    assert abs(chi(np.array([0.5 * math.pi]))[0] + 0.5 * math.pi) <= 1e-12
+    assert abs(psi.apply_angle(-0.5 * math.pi) + 0.5 * math.pi) <= 1e-12
 
 
 @pytest.mark.parametrize("name, m", [("w_sqrt_256", 64), ("w_linear", 128),

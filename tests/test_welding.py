@@ -17,12 +17,16 @@ from slitweld.errors import ValidationError
 from slitweld.loewner import DrivingTerm, slit_preimage_endpoints
 from slitweld.welding import (
     Welding,
+    _conjugated_welding,
     extract_welding,
     pair_residuals,
     radial_slit_welding,
     welding_as_homeomorphism,
     welding_log_derivative,
 )
+
+
+TWO_PI = 2.0 * math.pi
 
 
 def _toy_welding():
@@ -130,8 +134,6 @@ def test_extraction_properties_on_random_drivers(seed, const):
     am, ap = slit_preimage_endpoints(d)
     assert _angle_gap(w.alpha_plus.angle, ap.angle) < 1e-12
     assert _angle_gap(w.alpha_minus.angle, am.angle) < 1e-12
-    th = np.concatenate([w.theta_plus, w.theta_minus])
-    assert np.max(_angle_gap(w.apply_angle(w.apply_angle(th)), th)) < 1e-12
     # forward flows from the extracted angles are absorbed at the pair's
     # time; the endpoints are absorbed at the horizon itself, where the
     # forward flow may also just survive
@@ -150,19 +152,43 @@ def test_extraction_resolution_floor(d_const):
         extract_welding(d_const, n=4)
 
 
-def test_welding_involution(w_const_256):
-    th = np.linspace(-1.2, 1.2, 21)
-    back = w_const_256.apply_angle(w_const_256.apply_angle(th))
-    assert np.max(np.abs(back - th)) < 1e-9
-    radial = radial_slit_welding(3.0 - 2.0 * math.sqrt(2.0), n=32)
-    assert np.max(np.abs(radial.apply_angle(radial.apply_angle(th)) - th)) < 1e-12
-    # scalars round-trip as floats
-    assert isinstance(w_const_256.apply_angle(0.3), float)
+def _quarter_midpoints(m):
+    """Midpoints of m equal cells of the arc from 1 to i."""
+    return (np.arange(m) + 0.5) * (0.5 * math.pi / m)
 
 
-def test_apply_angle_rejects_unwelded_angles(w_const_256):
-    with pytest.raises(ValidationError):
-        w_const_256.apply_angle(math.pi)
+@pytest.mark.parametrize("name", ["w_linear", "w_sqrt_256", "radial"])
+def test_conjugated_welding_matches_the_mobius_composition(name, request):
+    w = (radial_slit_welding(3.0 - 2.0 * math.sqrt(2.0), 256) if name == "radial"
+         else request.getfixturevalue(name))
+    chi, chi_ld = _conjugated_welding(w)
+    ref_chi, ref_ld = oracles.mobius_conjugated_welding(w)
+    th = np.concatenate([[0.0, 0.5 * math.pi]]
+                        + [_quarter_midpoints(2 ** k) for k in range(6, 13)])
+    with np.errstate(all="raise"):   # no pole of the chart at 1 or i
+        got, got_ld = chi(th), chi_ld(th)
+    assert np.max(np.abs(got - ref_chi(th))) <= 1e-14
+    want_ld = ref_ld(th)
+    assert np.all(np.abs(got_ld - want_ld) <= 1e-12 * np.maximum(1.0, np.abs(want_ld)))
+    # any lift of the arc: psi's B piece passes theta - pi in (-2 pi, -3 pi / 2]
+    lifted = th - TWO_PI
+    assert np.array_equal(chi(lifted), chi(lifted + TWO_PI))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+def test_conjugated_welding_on_a_long_minus_arc():
+    # sigma = -3t on [0, 3]: alpha_minus lifts to about -5.64, so tau's pole
+    # lies near the circle and oracles.mobius_conjugated_welding cancels
+    # (its errors are 4.0e-9 and 1.6e-7 at these angles).  The 256 midpoints
+    # of the base quadrature level are used: closer to i, phi' grows past 1e4
+    # and amplifies the last-bit rounding of any double tau(theta).
+    w = extract_welding(DrivingTerm([0.0, 3.0], [0.0, -9.0]), 256)
+    assert w.theta_minus[-1] < -math.pi
+    th = _quarter_midpoints(256)
+    want, want_ld = oracles.longdouble_conjugated_welding(w, th)
+    chi, chi_ld = _conjugated_welding(w)
+    assert np.max(np.abs(chi(th) - want)) <= 1e-11
+    assert np.max(np.abs(chi_ld(th) - want_ld)) <= 1e-9
 
 
 def test_log_derivative_radial_exact():
