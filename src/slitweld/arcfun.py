@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, OrientedArc, canonical_angle
+from .circle import TWO_PI, OrientedArc
 from .errors import ValidationError
 
 __all__ = ["ArcFunction", "ArcHomeomorphism"]
@@ -83,15 +83,3 @@ class ArcHomeomorphism:
 
     def eval_offset(self, s):
         return np.interp(np.asarray(s, dtype=float), self.offsets, self.images)
-
-    def angle_map(self, theta):
-        """Circle angles in, canonical circle angles out."""
-        rel = np.mod(np.asarray(theta, dtype=float) - self.domain.start.angle, TWO_PI)
-        return canonical_angle(self.eval_offset(rel) + self.codomain.start.angle)
-
-    def log_deriv_offset(self, s):
-        """log of the per-cell slope magnitude (piecewise constant)."""
-        s = np.asarray(s, dtype=float)
-        slopes = np.abs(np.diff(self.images) / np.diff(self.offsets))
-        idx = np.clip(np.searchsorted(self.offsets, s, side="right") - 1, 0, slopes.size - 1)
-        return np.log(slopes[idx])

@@ -66,7 +66,6 @@ class RunConfig:
     outputs: tuple = ()
     counts: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    normalization: str = "two_pi"
 
     def __post_init__(self):
         for name, n in self.counts.items():
@@ -79,8 +78,6 @@ class RunConfig:
         for name, tol in self.tolerances.items():
             if not (isinstance(tol, (int, float)) and tol > 0.0 and math.isfinite(tol)):
                 raise ValidationError(f"{name} must be a positive number, got {tol}")
-        if self.normalization not in ("two_pi", "raw"):
-            raise ValidationError("normalization must be 'two_pi' or 'raw'")
         seen = set()
         for out in self.outputs:
             a = os.path.abspath(out)
@@ -105,7 +102,6 @@ class RunConfig:
             "outputs": list(self.outputs),
             "counts": dict(self.counts),
             "tolerances": dict(self.tolerances),
-            "normalization": self.normalization,
         }
 
 
@@ -185,7 +181,6 @@ def _cmd_analyze(args, outputs: list) -> int:
         counts={"quad_level": args.quad_level, "window_samples": args.window_samples,
                 "qs_positions": args.qs_positions},
         tolerances={"quad_agree": args.agree_tol},
-        normalization=args.normalization,
     )
     w = load_welding_csv(args.welding)
     d = load_driver(args.driver) if args.driver else None
@@ -193,9 +188,8 @@ def _cmd_analyze(args, outputs: list) -> int:
 
     u = welding_log_derivative(w)
     trimmed = _trimmed_plus_arc(w)
-    semi = h_half_seminorm_detail(u, trimmed, trimmed, normalization=args.normalization,
-                                  m=args.quad_level, agree_tol=args.agree_tol,
-                                  strict=not args.keep_going)
+    semi = h_half_seminorm_detail(u, trimmed, trimmed, m=args.quad_level,
+                                  agree_tol=args.agree_tol, strict=not args.keep_going)
     semi_value = math.sqrt(max(semi["value"], 0.0))
 
     vmo = vmo_curve(u, samples=args.window_samples)
@@ -211,7 +205,7 @@ def _cmd_analyze(args, outputs: list) -> int:
 
     report = {
         "config": cfg.echo(),
-        "normalization": args.normalization,
+        "normalization": semi["normalization"],
         "T": w.T,
         "alpha_plus": w.alpha_plus.angle,
         "alpha_minus": w.alpha_minus.angle,
@@ -436,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--agree-tol", type=float, default=0.02)
     an.add_argument("--window-samples", type=int, default=2048)
     an.add_argument("--qs-positions", type=int, default=256)
-    an.add_argument("--normalization", choices=("two_pi", "raw"), default="two_pi")
     an.add_argument("--keep-going", action="store_true",
                     help="record disagreeing quadrature levels instead of failing")
     an.set_defaults(fn=_cmd_analyze)

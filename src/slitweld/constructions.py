@@ -4,8 +4,7 @@ welding_construction builds, once per welding, the chain that describes the
 slit through its welding: the boundary normalizer tau of welding.build_tau,
 the piecewise circle extension psi, its harmonic interior extension, the
 sector-shear map q with exact Beltrami data and the closed-form slit-disk map
-h.  The module also holds the six-term energy decomposition of psi, the
-reflection extension and Poincare-weighted dilatation integrals.
+h.  The module also holds the six-term energy decomposition of psi.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .arcfun import ArcHomeomorphism
 from .circle import TWO_PI, OrientedArc, arc, canonical_angle
-from .errors import AccuracyError, IntegrationError, ValidationError
+from .errors import IntegrationError, ValidationError
 from .regularity import _level, _midpoints, _richardson
 from .welding import Welding, _conjugated_welding, build_tau
 
@@ -30,16 +28,12 @@ __all__ = [
     "BeltramiField",
     "build_psi",
     "psi_j_decomposition",
-    "reflect_half_extension",
     "slit_map_h",
     "lemma_q_map",
-    "poincare_l2_integral",
     "welding_construction",
 ]
 
 _HALF_PI = 0.5 * math.pi
-
-_POINCARE_AGREE_TOL = 0.02  # relative agreement of poincare_l2_integral's two levels
 
 
 def _circle_dist(a, b):
@@ -121,8 +115,6 @@ class PiecewiseCircleMap:
 class DiskMapEvaluator:
     """Conformal or quasiconformal map evaluator with optional inverse."""
 
-    domain: str
-    codomain: str
     fn: Callable
     inverse: Callable | None = None
 
@@ -132,9 +124,8 @@ class DiskMapEvaluator:
 
 @dataclass
 class BeltramiField:
-    """Complex dilatation rule with its domain and uniform bound."""
+    """Complex dilatation rule with its uniform bound."""
 
-    domain: str
     mu: Callable
     k_bound: float
 
@@ -201,39 +192,6 @@ def psi_j_decomposition(w: Welding, m: int = 256, agree_tol: float = 0.02) -> di
             "weighted_sum": 2.0 * (j2 + j4) + 4.0 * j5}
 
 
-def _check_self_map(h: ArcHomeomorphism, a: OrientedArc, name: str, arc_name: str,
-                    ends: str):
-    """Reject h unless it carries the arc a onto itself and fixes both its endpoints."""
-    for b in (h.domain, h.codomain):
-        if (_circle_dist(b.start.angle, a.start.angle) > 1e-12
-                or abs(b.length - a.length) > 1e-12):
-            raise ValidationError(f"{name} must be a self-map of {arc_name}")
-    for end in (a.start.angle, a.end.angle):
-        if _circle_dist(h.angle_map(end), end) > 1e-9:
-            raise ValidationError(f"{name} must fix the endpoints {ends}")
-
-
-def reflect_half_extension(psi_half: ArcHomeomorphism) -> PiecewiseCircleMap:
-    """Extend a self-map of the right half circle by z -> -conj(psi(-conj(z))).
-
-    psi_half must carry the arc from -i through 1 to i onto itself with both
-    endpoints fixed; the extension satisfies |ext'(z)| = |psi'(-conj(z))| on
-    the reflected side.
-    """
-    right = arc(-_HALF_PI, _HALF_PI)
-    _check_self_map(psi_half, right, "psi_half", "the right half circle", "-i and i")
-
-    def direct_ld(th):
-        return psi_half.log_deriv_offset(np.mod(th - right.start.angle, TWO_PI))
-
-    return PiecewiseCircleMap([
-        CirclePiece(right, psi_half.angle_map, direct_ld, "half map"),
-        CirclePiece(arc(_HALF_PI, -_HALF_PI),
-                    lambda th: math.pi - psi_half.angle_map(math.pi - th),
-                    lambda th: direct_ld(math.pi - th), "reflection"),
-    ])
-
-
 def _cayley(z):
     return (1.0 - z) / (1.0 + z)
 
@@ -262,7 +220,7 @@ def slit_map_h(beta: float):
         out = _cayley(np.sqrt((_cayley(x) / c) ** 2 - 1.0))
         return out if out.ndim else complex(out)
 
-    ev = DiskMapEvaluator("unit_disk", "slit_disk", forward, inverse)
+    ev = DiskMapEvaluator(forward, inverse)
     return ev, t_slit, c
 
 
@@ -333,40 +291,7 @@ def lemma_q_map(z0: complex, r: float):
         return complex(out[0]) if scalar else out
 
     k = max(abs(1.0 - a1) / (1.0 + a1), abs(1.0 - a2) / (1.0 + a2))
-    return DiskMapEvaluator("unit_disk", "unit_disk", q, q_inv), BeltramiField("unit_disk", mu, k)
-
-
-def poincare_l2_integral(mu: BeltramiField, conf: DiskMapEvaluator | None = None,
-                         n_r: int = 128, strict: bool = True) -> float:
-    """Squared Poincare-weighted L2 mass of a dilatation field.
-
-    Integrates |mu|^2 / (1 - |z|^2)^2 over the unit disk on a polar midpoint
-    grid; with conf given, mu is evaluated at conf(z), which computes the
-    integral over conf's image domain by conformal invariance.  Two dyadic
-    levels must agree within _POINCARE_AGREE_TOL unless strict is off.
-    """
-    if conf is not None and conf.domain != "unit_disk":
-        raise ValidationError("conf must parametrize from the unit disk")
-    if n_r < 8:
-        raise ValidationError("radial resolution must be at least 8")
-
-    def level(nr):
-        nt = 4 * nr
-        rr = (np.arange(nr) + 0.5) / nr
-        tt = (np.arange(nt) + 0.5) * TWO_PI / nt
-        zz = rr[:, None] * np.exp(1j * tt[None, :])
-        pts = conf.fn(zz) if conf is not None else zz
-        m = np.abs(mu.mu(pts)) ** 2
-        dens = (rr / (1.0 - rr * rr) ** 2)[:, None]
-        return float(np.sum(m * dens) * (1.0 / nr) * (TWO_PI / nt))
-
-    q1 = level(n_r)
-    q2 = level(2 * n_r)
-    value = 2.0 * q2 - q1
-    agreement = abs(q2 - q1) / max(abs(value), 1e-12)
-    if strict and agreement > _POINCARE_AGREE_TOL:
-        raise AccuracyError(q1, q2, "the Poincare L2 mass")
-    return value
+    return DiskMapEvaluator(q, q_inv), BeltramiField(mu, k)
 
 
 def _powers(z: complex, n: int):

@@ -58,7 +58,6 @@ __all__ = [
     "downward_flow",
     "boundary_flow",
     "slit_preimage_endpoints",
-    "trace_point",
     "trace_curve",
 ]
 
@@ -80,7 +79,7 @@ PRECISE_FLOW_PARAMS = FlowParams(rtol=1e-12, atol=1e-14, max_steps=100000)
 _C_STEP = 0.1                # step cap dt <= _C_STEP * Delta^2
 _EPS_HIT = 1e-6              # boundary hit threshold, radians
 _SING_EPS = 1e-9             # downward-flow abort distance to the singularity
-_TRACE_RESIDUAL_TOL = 1e-3   # trace_point raises TraceError above this residual
+_TRACE_RESIDUAL_TOL = 1e-3   # a trace tip raises TraceError above this residual
 
 
 class DrivingTerm:
@@ -101,13 +100,20 @@ class DrivingTerm:
         bad = np.flatnonzero(np.diff(grid) <= 0.0)
         if bad.size:
             raise ValidationError(f"driver grid is not strictly increasing at index {bad[0] + 1}")
+        with np.errstate(over="ignore"):
+            rise = np.diff(sigma)
+            slope = rise / np.diff(grid)
+        for what, v in (("increment", rise), ("slope", slope)):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise ValidationError(f"driver sigma {what} on cell {bad[0]} is not finite")
         self.grid = grid
         self.sigma = sigma
         self.T = float(grid[-1])
         # plain lists are faster for the scalar hot path
         self._g = grid.tolist()
         self._s = sigma.tolist()
-        self._slope = (np.diff(sigma) / np.diff(grid)).tolist()
+        self._slope = slope.tolist()
 
     @classmethod
     def from_function(cls, f, T: float, n: int, power: float = 1.0) -> "DrivingTerm":
@@ -707,22 +713,9 @@ def _trace_samples(d: DrivingTerm, times):
     return [TraceSample(t, complex(z), float(r)) for t, z, r in zip(times, tips, residual)]
 
 
-def trace_point(d: DrivingTerm, t: float) -> TraceSample:
-    """Trace tip gamma(t): the upward flow from the singularity at T - t to T.
-
-    It runs through the exact cell maps of the chart p = 1 - g/xi(s), 0 at
-    its start, and the tip is xi(T) (1 - p(T)).  The residual bounds the
-    tip's error: every cell map's Newton error bound and rounding, carried
-    to the tip.
-    """
-    if not 0.0 < t <= d.T:
-        raise ValidationError("trace time must lie in (0, T]")
-    return _trace_samples(d, [t])[0]
-
-
 def trace_curve(d: DrivingTerm, count: int):
-    """Trace samples at count times uniform in (0, T], as trace_point gives them,
-    from one sweep of the driver cells."""
+    """Trace samples at count times uniform in (0, T], from one sweep of the
+    driver cells."""
     if count < 1:
         raise ValidationError("need at least one trace sample")
     return _trace_samples(d, [d.T * k / count for k in range(1, count + 1)])

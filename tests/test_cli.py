@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from slitweld.errors import (AccuracyError, ExtractionError, HitSingularityError
 from slitweld.loewner import DEFAULT_FLOW_PARAMS, PRECISE_FLOW_PARAMS, DrivingTerm, upward_flow
 from slitweld.serialize import (WELDING_HEADER, load_csv_columns, load_welding_csv,
                                 save_welding_csv)
-from slitweld.welding import radial_slit_welding
 
 T_LOG2 = math.log(2.0)
 T_SLIT_LOG2 = 3.0 - 2.0 * math.sqrt(2.0)
@@ -51,7 +51,7 @@ def extracted_path(workdir, driver_path):
 @pytest.fixture(scope="module")
 def closed_form_path(workdir):
     out = str(workdir / "closed.csv")
-    save_welding_csv(out, radial_slit_welding(T_SLIT_LOG2, 64))
+    save_welding_csv(out, oracles.radial_slit_welding(T_SLIT_LOG2, 64))
     return out
 
 
@@ -68,12 +68,6 @@ def test_runconfig_tolerances():
         with pytest.raises(ValidationError):
             RunConfig("x", tolerances={"tol": bad})
     RunConfig("x", tolerances={"tol": 1e-9})
-
-
-def test_runconfig_normalization():
-    RunConfig("x", normalization="raw")
-    with pytest.raises(ValidationError):
-        RunConfig("x", normalization="both")
 
 
 def test_runconfig_path_collisions(tmp_path):
@@ -509,6 +503,31 @@ def test_driver_with_more_cells_than_a_flow_has_steps_exits_2_before_flows(
                  "--qs-positions", "16"]) == 0
 
 
+@pytest.mark.parametrize("stage", ["trace", "weld", "analyze"])
+@pytest.mark.parametrize("grid, sigma", [([0.0, 0.5, 1.0], [0.0, 1e308, -1e308]),
+                                         ([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0])],
+                         ids=["increment", "slope"])
+def test_driver_whose_cells_overflow_exits_2_at_load(tmp_path, closed_form_path,
+                                                     monkeypatch, stage, grid, sigma):
+    def reached(*args, **kwargs):
+        raise AssertionError("a sweep started on a driver with a non-finite slope")
+
+    for name in ("_tip_pieces", "trace_curve", "extract_welding", "loewner_energy",
+                 "lip_half_norm"):
+        monkeypatch.setattr(cli, name, reached)
+    driver = tmp_path / "overflow.json"
+    driver.write_text(json.dumps({"T": grid[-1], "grid": grid, "sigma": sigma}))
+    out = tmp_path / "out"
+    argv = {"trace": ["trace", "--driver", str(driver), "--out", str(out)],
+            "weld": ["weld", "--driver", str(driver), "--out", str(out)],
+            "analyze": ["analyze", "--welding", closed_form_path, "--driver", str(driver),
+                        "--out", str(out)]}[stage]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert not out.exists()
+
+
 def _write_fine_driver(tmp_path, cells: int) -> str:
     driver = tmp_path / "fine.json"
     driver.write_text(json.dumps({"T": 1.0, "grid": np.linspace(0.0, 1.0, cells + 1).tolist(),
@@ -579,7 +598,7 @@ def test_construct_checks_the_driver_before_construction(tmp_path, closed_form_p
     monkeypatch.setattr(cli, "pair_residuals", reached)
     cells = 4096
     pairs = cli._SWEEP_WORK // cells - cli._SWEEP_CELL_SAMPLES + 1
-    w = radial_slit_welding(T_SLIT_LOG2, pairs - 1)
+    w = oracles.radial_slit_welding(T_SLIT_LOG2, pairs - 1)
     welding = str(tmp_path / "long.csv")
     save_welding_csv(welding, w)
     driver = tmp_path / "const.json"

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import trace_point
 from slitweld.errors import (
     DiagnosticsError,
     HitSingularityError,
@@ -34,7 +35,6 @@ from slitweld.loewner import (
     downward_flow,
     slit_preimage_endpoints,
     trace_curve,
-    trace_point,
     upward_flow,
 )
 from slitweld.welding import extract_welding
@@ -51,6 +51,11 @@ def test_driver_validation():
         DrivingTerm([0.0, 0.5, 0.5], [0.0, 0.1, 0.2])
     with pytest.raises(ValidationError):
         DrivingTerm([0.0, np.inf], [0.0, 0.0])
+    with np.errstate(all="raise"):
+        with pytest.raises(ValidationError, match="increment on cell 1"):
+            DrivingTerm([0.0, 0.5, 1.0], [0.0, 1e308, -1e308])
+        with pytest.raises(ValidationError, match="slope on cell 0"):
+            DrivingTerm([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0])
 
 
 def test_driver_sampling_and_grading():

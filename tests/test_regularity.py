@@ -14,6 +14,7 @@ from scipy.integrate import dblquad
 
 import oracles
 import slitweld.regularity as regularity
+from oracles import radial_slit_welding
 from slitweld.arcfun import ArcFunction
 from slitweld.circle import MobiusCircleMap, arc
 from slitweld.constructions import psi_j_decomposition
@@ -33,7 +34,6 @@ from slitweld.welding import (
     Welding,
     _conjugated_welding,
     extract_welding,
-    radial_slit_welding,
     welding_as_homeomorphism,
     welding_log_derivative,
 )

@@ -8,7 +8,7 @@ dependency; the suite reads only the printed literals):
 
 The driver is the graded sigma = 0.4 sqrt(t) of tests/conftest.py, taken at
 its float nodes, and the tip at time t is born at the float T - t, as
-loewner.trace_point takes it.  In p = 1 - g / xi(s), a cell of slope c and
+oracles.trace_point takes it.  In p = 1 - g / xi(s), a cell of slope c and
 a = 1 - ic gives p dp/ds = (1 - p)(2 - a p), a polynomial right-hand side,
 so the flow is stepped by its Taylor series, whose coefficients follow from
 a recurrence; the birth step runs in r = sqrt(s - s0), where p = 2r + ... is
